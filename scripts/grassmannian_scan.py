@@ -2,8 +2,8 @@
 """Cross-check the no-arrow quiver series against q-binomials.
 
 Scans all 0 <= d <= w up to a bound and compares the motivic class of the
-moduli space (computed from partition labels) with the brute-force
-Gaussian binomial, printing the polynomial for each pair.
+moduli space (one L^(cell dimension) per cell of its decomposition) with
+the brute-force Gaussian binomial, printing the polynomial for each pair.
 """
 
 import argparse

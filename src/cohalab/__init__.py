@@ -79,9 +79,7 @@ from .quiver import (
     FramedQuiver,
     Quiver,
     QuiverError,
-    critical_dim_vector,
     euler_form,
-    hilb_dim,
     parse_quiver_file,
     serialize_quiver_file,
 )

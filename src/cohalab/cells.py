@@ -369,6 +369,13 @@ def random_stable_rep(
 # Omitted blocks default to zero.
 
 
+def _rep_number(token: str, kind=Fraction):
+    try:
+        return kind(token)
+    except (ValueError, ZeroDivisionError):
+        raise QuiverError(f"bad number {token!r} in representation file") from None
+
+
 def parse_rep_file(fq: FramedQuiver, text) -> NumericRep:
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -376,8 +383,14 @@ def parse_rep_file(fq: FramedQuiver, text) -> NumericRep:
     rows: list[list[str]] = [ln.split() for ln in lines if ln]
     if not rows or rows[0][0] != "rep":
         raise QuiverError("representation file must start with a 'rep' line")
-    d = tuple(int(x) for x in rows[0][1:])
-    d = check_dim(fq.base, d)
+    d = check_dim(fq.base, [_rep_number(x, int) for x in rows[0][1:]])
+
+    def block(start: int, count: int) -> list[list[Fraction]]:
+        if start + count > len(rows):
+            head = " ".join(rows[start - 1])
+            raise QuiverError(f"file ends inside block {head!r}")
+        return [[_rep_number(x) for x in row] for row in rows[start : start + count]]
+
     entries: dict[str, list[list[Fraction]]] = {}
     pos = 1
     while pos < len(rows):
@@ -393,22 +406,19 @@ def parse_rep_file(fq: FramedQuiver, text) -> NumericRep:
                     f"{name!r} is a framing arrow; use a 'framing' block"
                 )
             nrows = d[a.target]
-            block = [
-                [Fraction(x) for x in rows[pos + 1 + r]] for r in range(nrows)
-            ]
-            entries[name] = block
+            entries[name] = block(pos + 1, nrows)
             pos += 1 + nrows
         elif head[0] == "framing":
             if len(head) != 3:
                 raise QuiverError("expected: framing <vertex> <slot>")
-            vertex, slot = int(head[1]), int(head[2])
+            vertex, slot = (_rep_number(x, int) for x in head[1:])
             if not 0 <= vertex < fq.vertex_count:
                 raise QuiverError(f"framing vertex {vertex} out of range")
             if not 1 <= slot <= fq.framing[vertex]:
                 raise QuiverError(f"framing slot {slot} out of range")
             offset = sum(fq.framing[:vertex]) + slot - 1
             name = fq.arrows[offset].name
-            column = [Fraction(x) for x in rows[pos + 1]]
+            (column,) = block(pos + 1, 1)
             entries[name] = [[c] for c in column]
             pos += 2
         else:

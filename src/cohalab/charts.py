@@ -17,6 +17,7 @@ from .cells import (
     CellError,
     NumericRep,
     Subtree,
+    cell_dim,
     critical_set,
     udim,
     vertex_slice,
@@ -192,7 +193,7 @@ def multiplicity_power(
     the smallest candidate over the distinguished choices, or None when no
     specialization yields pure powers.  Diagonal pairs give 1.
     """
-    if cell_dimension(fq, target, order) != cell_dimension(fq, chart_tree, order):
+    if cell_dim(fq, target, order) != cell_dim(fq, chart_tree, order):
         raise CellError("multiplicity needs cells of equal dimension")
     chart = make_chart(fq, chart_tree, order)
     groups = _minor_groups(fq, target, chart, order)
@@ -226,10 +227,6 @@ def multiplicity_power(
             if best is None or total < best:
                 best = total
     return best
-
-
-def cell_dimension(fq: FramedQuiver, s: Subtree, order: PathOrder) -> int:
-    return sum(critical_set(fq, s, order).k)
 
 
 def rep_from_chart(

@@ -14,9 +14,7 @@ from fractions import Fraction
 from pathlib import Path as FilePath
 from random import Random
 
-from . import cells, charts, coha, partitions, paths, quiver, series
-
-DEFAULT_SEED = 20240808
+from . import cells, charts, checks, coha, partitions, paths, quiver, series
 
 
 class DomainError(Exception):
@@ -116,12 +114,18 @@ class _ExprParser:
 
     def take(self, expected=None):
         tok = self.peek()
-        if tok is None or (expected is not None and tok != expected):
-            raise DomainError(
-                f"expected {expected!r} in expression, found {tok!r}"
-            )
+        if tok is None:
+            raise DomainError("expression ends too early")
+        if expected is not None and tok != expected:
+            raise DomainError(f"expected {expected!r} in expression, found {tok!r}")
         self.pos += 1
         return tok
+
+    def natural(self) -> int:
+        tok = self.take()
+        if not tok.isdigit():
+            raise DomainError(f"expected a number in expression, found {tok!r}")
+        return int(tok)
 
     def parse(self) -> coha.SymPoly:
         result = self.expr()
@@ -148,7 +152,7 @@ class _ExprParser:
         base = self.atom()
         while self.peek() == "^":
             self.take("^")
-            n = int(self.take())
+            n = self.natural()
             out = coha.unit(self.fq, self.d)
             for _ in range(n):
                 out = coha.cup_product(out, base)
@@ -169,18 +173,15 @@ class _ExprParser:
             self.take()
             if self.peek() == "[":
                 self.take("[")
-                i = int(self.take())
+                i = self.natural()
                 self.take(",")
-                k = int(self.take())
+                k = self.natural()
                 self.take("]")
             else:
                 i, k = 0, 1
-            try:
-                return coha.variable(self.fq, self.d, i, k)
-            except (coha.CohaError, IndexError):
-                raise DomainError(f"no variable x[{i},{k}] in degree {self.d}") from None
+            return coha.variable(self.fq, self.d, i, k)
         if tok is not None and tok.isdigit():
-            return coha.unit(self.fq, self.d).scale(int(self.take()))
+            return coha.unit(self.fq, self.d).scale(self.natural())
         raise DomainError(f"unexpected token {tok!r} in expression")
 
 
@@ -199,35 +200,38 @@ def parse_element(fq, text: str) -> coha.SymPoly:
 # -- subcommand implementations ---------------------------------------------------
 
 
+def _emit_cells(args, fq, order, trees) -> None:
+    rows = [
+        {
+            "tree": cells.format_tree(fq, s),
+            "dim": cells.cell_dim(fq, s, order),
+            "partition": partitions.format_partition(
+                partitions.tree_to_partition(fq, s, order)
+            ),
+        }
+        for s in trees
+    ]
+    _emit(args, rows, lambda r: f"{r['tree']} dim={r['dim']} partition={r['partition']}")
+
+
 def cmd_trees(args) -> int:
     fq = _load_quiver(args.quiver)
     order = _parse_order(args, fq)
     d = _parse_dim(args.dim, fq)
-    rows = []
-    for s in cells.enumerate_trees(fq, d, order):
-        lam = partitions.tree_to_partition(fq, s, order)
-        rows.append(
-            {
-                "tree": cells.format_tree(fq, s),
-                "dim": cells.cell_dim(fq, s, order),
-                "partition": partitions.format_partition(lam),
-            }
-        )
-    _emit(args, rows, lambda r: f"{r['tree']} dim={r['dim']} partition={r['partition']}")
+    _emit_cells(args, fq, order, cells.enumerate_trees(fq, d, order))
     return 0
 
 
 def cmd_partitions(args) -> int:
     fq = _load_quiver(args.quiver)
     d = _parse_dim(args.dim, fq)
-    rows = []
-    for lam in partitions.enumerate_partitions(fq, d):
-        rows.append(
-            {
-                "partition": partitions.format_partition(lam),
-                "dim": partitions.partition_cell_dim(fq, d, lam),
-            }
-        )
+    rows = [
+        {
+            "partition": partitions.format_partition(lam),
+            "dim": partitions.partition_cell_dim(fq, d, lam),
+        }
+        for lam in partitions.enumerate_partitions(fq, d)
+    ]
     _emit(args, rows, lambda r: f"{r['partition']} dim={r['dim']}")
     return 0
 
@@ -238,43 +242,27 @@ def cmd_bijection(args) -> int:
     if (args.tree is None) == (args.partition is None):
         raise DomainError("give exactly one of --tree or --partition")
     if args.tree is not None:
-        try:
-            s = cells.parse_tree(fq, order, args.tree)
-        except (quiver.QuiverError, cells.CellError) as exc:
-            raise DomainError(str(exc)) from None
+        s = cells.parse_tree(fq, order, args.tree)
         lam = partitions.tree_to_partition(fq, s, order)
-        row = {
-            "tree": cells.format_tree(fq, s),
-            "partition": partitions.format_partition(lam),
-        }
-        _emit(args, [row], lambda r: r["partition"])
+        shown = "partition"
     else:
         if args.dim is None:
             raise DomainError("--partition needs --dim to fix the shape")
         d = _parse_dim(args.dim, fq)
-        try:
-            lam = partitions.parse_partition(fq, d, args.partition)
-            s = partitions.partition_to_tree(fq, lam, order)
-        except cells.CellError as exc:
-            raise DomainError(str(exc)) from None
-        row = {
-            "tree": cells.format_tree(fq, s),
-            "partition": partitions.format_partition(lam),
-        }
-        _emit(args, [row], lambda r: r["tree"])
+        lam = partitions.parse_partition(fq, d, args.partition)
+        s = partitions.partition_to_tree(fq, lam, order)
+        shown = "tree"
+    row = {
+        "tree": cells.format_tree(fq, s),
+        "partition": partitions.format_partition(lam),
+    }
+    _emit(args, [row], lambda r: r[shown])
     return 0
 
 
-def cmd_series(args, betti_only: bool = False) -> int:
+def cmd_series(args) -> int:
     fq = _load_quiver(args.quiver)
     d = _parse_dim(args.dim, fq)
-    if betti_only or getattr(args, "betti", False):
-        rows = [
-            {"degree": deg, "coeff": rank}
-            for deg, rank in series.betti_numbers(fq, d)
-        ]
-        _emit(args, rows, lambda r: f"{r['degree']}:{r['coeff']}")
-        return 0
     poly = series.motivic_class(fq, d)
     if args.json:
         for e, c in poly.coeffs:
@@ -285,17 +273,20 @@ def cmd_series(args, betti_only: bool = False) -> int:
 
 
 def cmd_betti(args) -> int:
-    return cmd_series(args, betti_only=True)
+    fq = _load_quiver(args.quiver)
+    d = _parse_dim(args.dim, fq)
+    rows = [
+        {"degree": deg, "coeff": rank} for deg, rank in series.betti_numbers(fq, d)
+    ]
+    _emit(args, rows, lambda r: f"{r['degree']}:{r['coeff']}")
+    return 0
 
 
 def cmd_shuffle(args) -> int:
     fq = _load_quiver(args.quiver)
-    try:
-        left = parse_element(fq, args.left)
-        right = parse_element(fq, args.right)
-        result = coha.shuffle_product(left, right)
-    except coha.CohaError as exc:
-        raise DomainError(str(exc)) from None
+    left = parse_element(fq, args.left)
+    right = parse_element(fq, args.right)
+    result = coha.shuffle_product(left, right)
     if args.json:
         print(
             json.dumps(
@@ -310,6 +301,8 @@ def cmd_shuffle(args) -> int:
 def cmd_verify_basis(args) -> int:
     fq = _load_quiver(args.quiver)
     d = _parse_dim(args.dim, fq)
+    if args.max_degree is not None and args.max_degree < 0:
+        raise DomainError("--max-degree must be non-negative")
     top = coha.top_degree(fq, d)
     max_degree = args.max_degree if args.max_degree is not None else max(top + 1, 0)
     rows = []
@@ -342,20 +335,14 @@ def cmd_verify_basis(args) -> int:
 def cmd_charts(args) -> int:
     fq = _load_quiver(args.quiver)
     order = _parse_order(args, fq)
-    try:
-        target = cells.parse_tree(fq, order, args.target)
-        chart_tree = cells.parse_tree(fq, order, args.chart)
-        chart = charts.make_chart(fq, chart_tree, order)
-        minors = charts.membership_minors(fq, target, chart_tree, order)
-    except (quiver.QuiverError, cells.CellError) as exc:
-        raise DomainError(str(exc)) from None
+    target = cells.parse_tree(fq, order, args.target)
+    chart_tree = cells.parse_tree(fq, order, args.chart)
+    chart = charts.make_chart(fq, chart_tree, order)
+    minors = charts.membership_minors(fq, target, chart_tree, order)
     rows = [{"minor": chart.format_poly(m)} for m in minors]
     _emit(args, rows, lambda r: r["minor"])
     if args.multiplicity:
-        try:
-            power = charts.multiplicity_power(fq, target, chart_tree, order)
-        except cells.CellError as exc:
-            raise DomainError(str(exc)) from None
+        power = charts.multiplicity_power(fq, target, chart_tree, order)
         text = "indeterminate" if power is None else str(power)
         if args.json:
             print(json.dumps({"multiplicity": power}, sort_keys=True))
@@ -368,122 +355,24 @@ def cmd_classify(args) -> int:
     fq = _load_quiver(args.quiver)
     order = _parse_order(args, fq)
     try:
-        rep = cells.parse_rep_file(fq, FilePath(args.rep).read_text(encoding="utf-8"))
+        text = FilePath(args.rep).read_text(encoding="utf-8")
     except OSError as exc:
         raise DomainError(f"cannot read representation file: {exc}") from None
-    except (quiver.QuiverError, cells.CellError) as exc:
-        raise DomainError(str(exc)) from None
-    try:
-        s = cells.classify(fq, rep, order)
-    except cells.CellError as exc:
-        raise DomainError(str(exc)) from None
-    lam = partitions.tree_to_partition(fq, s, order)
-    row = {
-        "tree": cells.format_tree(fq, s),
-        "dim": cells.cell_dim(fq, s, order),
-        "partition": partitions.format_partition(lam),
-    }
-    _emit(args, [row], lambda r: f"{r['tree']} dim={r['dim']} partition={r['partition']}")
+    rep = cells.parse_rep_file(fq, text)
+    _emit_cells(args, fq, order, [cells.classify(fq, rep, order)])
     return 0
 
 
-def _check_fixtures():
-    two_loop = quiver.FramedQuiver(
-        quiver.Quiver.make(1, [("a", 0, 0), ("b", 0, 0)]), (1,), ["f"]
-    )
-    one_loop = quiver.FramedQuiver(
-        quiver.Quiver.make(1, [("a", 0, 0)]), (2,), ["e", "f"]
-    )
-    a2 = quiver.FramedQuiver(
-        quiver.Quiver.make(2, [("a", 0, 1)]), (2, 0), ["e", "f"]
-    )
-    points = quiver.Quiver.make(1, [])
-    return two_loop, one_loop, a2, points
-
-
 def cmd_check(args) -> int:
-    rng = Random(args.seed)
-    shortlex = paths.PathOrder.shortlex()
-    lex = paths.PathOrder.lex()
-    results: list[tuple[str, bool]] = []
-    two_loop, one_loop, a2, points = _check_fixtures()
-
-    def record(name: str, ok: bool):
-        results.append((name, ok))
-
-    # bijection roundtrips and label counts
-    ok = True
-    for fq, dims in [
-        (two_loop, [(1,), (2,), (3,), (4,)]),
-        (one_loop, [(1,), (2,), (3,)]),
-        (a2, [(1, 0), (1, 1), (2, 1), (2, 2)]),
-    ]:
-        for d in dims:
-            for order in (shortlex, lex):
-                trees = cells.enumerate_trees(fq, d, order)
-                labels = partitions.enumerate_partitions(fq, d)
-                ok = ok and len(trees) == len(labels)
-                for s in trees:
-                    lam = partitions.tree_to_partition(fq, s, order)
-                    back = partitions.partition_to_tree(fq, lam, order)
-                    ok = ok and back.path_set == s.path_set
-    record("bijection roundtrip", ok)
-
-    # order independence of the counting series
-    ok = True
-    for d in [(2,), (3,), (4,)]:
-        top = two_loop.hilb_dim(d)
-        for order in (shortlex, lex):
-            dims_from_trees = sorted(
-                cells.cell_dim(two_loop, s, order)
-                for s in cells.enumerate_trees(two_loop, d, order)
-            )
-            dims_from_labels = sorted(
-                top - lam.size
-                for lam in partitions.enumerate_partitions(two_loop, d)
-            )
-            ok = ok and dims_from_trees == dims_from_labels
-    record("order independence of cell dimensions", ok)
-
-    # q-binomial oracle
-    ok = True
-    for w in range(6):
-        for d in range(w + 1):
-            fq = quiver.FramedQuiver(points, (w,))
-            ok = ok and series.motivic_class(fq, (d,)).as_dict() == (
-                series.gaussian_binomial(w, d).as_dict()
-            )
-    record("q-binomial oracle", ok)
-
-    # classify partition property
-    ok = True
-    trees3 = cells.enumerate_trees(two_loop, (3,), shortlex)
-    for _ in range(20):
-        m = cells.random_stable_rep(two_loop, (3,), rng)
-        s = cells.classify(two_loop, m, shortlex)
-        hits = [t for t in trees3 if cells.in_cell(two_loop, m, t, shortlex)]
-        ok = ok and len(hits) == 1 and hits[0].path_set == s.path_set
-    record("cell partition property", ok)
-
-    # basis verification on small fixtures
-    ok = True
-    for fq, d in [
-        (quiver.FramedQuiver(points, (3,)), (1,)),
-        (quiver.FramedQuiver(points, (3,)), (2,)),
-        (two_loop, (2,)),
-        (a2, (1, 1)),
-    ]:
-        for n in range(coha.top_degree(fq, d) + 2):
-            ok = ok and coha.verify_basis(fq, d, n).independent
-    record("tautological basis verification", ok)
-
-    width = max(len(name) for name, _ in results)
-    failures = 0
-    for name, passed in results:
-        status = "PASS" if passed else "FAIL"
-        failures += 0 if passed else 1
-        print(f"{name.ljust(width)}  {status}")
-    return 0 if failures == 0 else 1
+    width = max(len(name) for name in checks.CHECKS)
+    failed = 0
+    for name, check in checks.CHECKS.items():
+        failures = check(Random(args.seed))
+        print(f"{name.ljust(width)}  {'FAIL' if failures else 'PASS'}")
+        for failure in failures:
+            print(f"  {failure}", file=sys.stderr)
+        failed += bool(failures)
+    return 1 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -508,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--weights",
                 help="arrow weights for wshortlex, e.g. a=1,b=2 (default 1)",
             )
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--seed", type=int, default=checks.DEFAULT_SEED)
         p.add_argument("--json", action="store_true", help="one JSON object per row")
 
     p = sub.add_parser("trees", help="enumerate cell labels")
@@ -528,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="motivic counting series")
     common(p, with_order=False, with_dim=True)
-    p.add_argument("--betti", action="store_true", help="print degree:rank pairs")
     p.set_defaults(fn=cmd_series)
 
     p = sub.add_parser("betti", help="Betti numbers (degree:rank pairs)")
@@ -570,10 +458,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (quiver.QuiverError, cells.CellError, coha.CohaError) as exc:
+    except (DomainError, quiver.QuiverError, cells.CellError, coha.CohaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,6 +19,7 @@ from .linalg import rref
 from .partitions import MultiPartition, enumerate_partitions, satisfies_phi
 from .polys import Poly
 from .quiver import DimVector, FramedQuiver, check_dim, euler_form, unit_vector
+from .series import motivic_class
 
 
 class CohaError(ValueError):
@@ -115,7 +116,7 @@ def variable(fq: FramedQuiver, d: DimVector, i: int, k: int) -> SymPoly:
     """x_{i,k}; note this is only symmetric when the block has one variable."""
     d = check_dim(fq.base, d)
     offs = block_offsets(d)
-    if not 1 <= k <= d[i]:
+    if not (0 <= i < len(d) and 1 <= k <= d[i]):
         raise CohaError(f"no variable x[{i},{k}] in degree {d}")
     return SymPoly(fq, d, Poly.variable(sum(d), offs[i] + k - 1))
 
@@ -125,15 +126,10 @@ def elementary(fq: FramedQuiver, d: DimVector, i: int, k: int) -> SymPoly:
     d = check_dim(fq.base, d)
     if k < 0 or k > d[i]:
         raise CohaError(f"e_{k} undefined for a block of size {d[i]}")
-    offs = block_offsets(d)
-    n = sum(d)
-    poly = Poly.zero(n)
-    for subset in combinations(range(d[i]), k):
-        exp = [0] * n
-        for s in subset:
-            exp[offs[i] + s] = 1
-        poly = poly + Poly.monomial(n, tuple(exp))
-    return SymPoly(fq, d, poly)
+    sig = tuple(
+        (1,) * k + (0,) * (dj - k) if j == i else (0,) * dj for j, dj in enumerate(d)
+    )
+    return monomial_symmetric(fq, d, sig)
 
 
 def cup_product(f: SymPoly, g: SymPoly) -> SymPoly:
@@ -145,12 +141,7 @@ def cup_product(f: SymPoly, g: SymPoly) -> SymPoly:
 def framing_idempotent(fq: FramedQuiver, d: DimVector) -> SymPoly:
     """Product over vertices of (x_{i,1}...x_{i,d_i})^{w_i}."""
     d = check_dim(fq.base, d)
-    offs = block_offsets(d)
-    exp = [0] * sum(d)
-    for i, di in enumerate(d):
-        for k in range(di):
-            exp[offs[i] + k] = fq.framing[i]
-    return SymPoly(fq, d, Poly.monomial(sum(d), tuple(exp)))
+    return monomial_symmetric(fq, d, tuple((w,) * di for w, di in zip(fq.framing, d)))
 
 
 @lru_cache(maxsize=4096)
@@ -465,5 +456,5 @@ def verify_basis(fq: FramedQuiver, d: DimVector, n: int) -> BasisReport:
 
 def top_degree(fq: FramedQuiver, d: DimVector) -> int:
     """Largest label size; the quotient vanishes strictly above it."""
-    sizes = [lam.size for lam in enumerate_partitions(fq, d)]
-    return max(sizes) if sizes else -1
+    low = motivic_class(fq, d).low_degree()
+    return -1 if low is None else fq.hilb_dim(d) - low

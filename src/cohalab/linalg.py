@@ -16,10 +16,6 @@ def vec(entries) -> Vector:
     return tuple(Fraction(e) for e in entries)
 
 
-def mat_vec(matrix: tuple[Vector, ...], v: Vector) -> Vector:
-    return tuple(sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in matrix)
-
-
 def rref(rows: list[Vector]) -> list[Vector]:
     """Reduced row echelon form with unit pivots; zero rows dropped.
 
@@ -28,20 +24,18 @@ def rref(rows: list[Vector]) -> list[Vector]:
     """
     m = [list(r) for r in rows]
     ncols = len(m[0]) if m else 0
-    pivots: list[int] = []
     r = 0
     for c in range(ncols):
         pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
+        inv = 1 / Fraction(m[r][c])
         m[r] = [x * inv for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
         r += 1
         if r == len(m):
             break

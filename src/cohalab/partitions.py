@@ -226,7 +226,10 @@ def parse_partition(fq: FramedQuiver, d: DimVector, text: str) -> MultiPartition
     groups = []
     for chunk in text.strip("]").split("]"):
         chunk = chunk.lstrip("[")
-        groups.append(tuple(int(x) for x in chunk.split(",") if x.strip()))
+        try:
+            groups.append(tuple(int(x) for x in chunk.split(",") if x.strip()))
+        except ValueError:
+            raise CellError(f"cannot parse partition {text!r}") from None
     if len(groups) == 1 and fq.vertex_count > 1:
         raise CellError("one bracket group per vertex required")
     return make_partition(fq, d, groups)

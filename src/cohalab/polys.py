@@ -143,17 +143,6 @@ class Poly:
 
     # -- structural operations ----------------------------------------------
 
-    def map_exponents(self, fn: Callable[[Exponent], Exponent], nvars: int) -> "Poly":
-        out: dict[Exponent, Fraction] = {}
-        for exp, c in self.terms.items():
-            new = fn(exp)
-            s = out.get(new, ZERO) + c
-            if s:
-                out[new] = s
-            else:
-                out.pop(new, None)
-        return Poly(nvars, out)
-
     def permute_vars(self, perm: list[int]) -> "Poly":
         """Relabel variable i as perm[i]."""
         n = self.nvars
@@ -167,14 +156,13 @@ class Poly:
 
     def embed(self, nvars: int, positions: list[int]) -> "Poly":
         """View self in a larger ring, variable i going to slot positions[i]."""
-
-        def place(exp: Exponent) -> Exponent:
+        out: dict[Exponent, Fraction] = {}
+        for exp, c in self.terms.items():
             new = [0] * nvars
             for i, e in enumerate(exp):
                 new[positions[i]] = e
-            return tuple(new)
-
-        return self.map_exponents(place, nvars)
+            out[tuple(new)] = c
+        return Poly(nvars, out)
 
     def set_vars_zero(self, indices: Iterable[int]) -> "Poly":
         """Substitute 0 for the given variables (drop every term using them)."""
@@ -233,10 +221,9 @@ class Poly:
         if self.is_zero():
             return Poly(self.nvars)
         if divisor.is_const():
-            inv = 1 / divisor.const_value()
-            return self.scale(inv)
+            return self.scale(1 / Fraction(divisor.const_value()))
         lead_g = max(divisor.terms)
-        cg = divisor.terms[lead_g]
+        cg = Fraction(divisor.terms[lead_g])
         rem = dict(self.terms)
         quot: dict[Exponent, Fraction] = {}
         while rem:

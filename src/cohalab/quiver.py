@@ -125,9 +125,6 @@ class FramedQuiver:
             i for i, a in enumerate(self.arrows) if a.source == vertex
         )
 
-    def is_framing_arrow(self, index: int) -> bool:
-        return index < self.framing_count
-
     # -- derived data ---------------------------------------------------------
 
     @property
@@ -148,14 +145,6 @@ class FramedQuiver:
         return sum(w * x for w, x in zip(self.framing, d)) - euler_form(
             self.base, d, d
         )
-
-
-def critical_dim_vector(fq: FramedQuiver, d: DimVector) -> SignedVector:
-    return fq.critical_dim_vector(d)
-
-
-def hilb_dim(fq: FramedQuiver, d: DimVector) -> int:
-    return fq.hilb_dim(d)
 
 
 # -- file format ----------------------------------------------------------------
@@ -207,11 +196,7 @@ def parse_quiver_file(text) -> FramedQuiver:
         raise QuiverError("missing 'vertices' line")
     if framing is None:
         raise QuiverError("missing 'framing' line")
-    try:
-        base = Quiver.make(vertex_count, arrows)
-        return FramedQuiver(base, framing, framenames)
-    except QuiverError as exc:
-        raise QuiverError(str(exc)) from None
+    return FramedQuiver(Quiver.make(vertex_count, arrows), framing, framenames)
 
 
 def serialize_quiver_file(fq: FramedQuiver) -> str:

@@ -1,18 +1,21 @@
 """Laurent polynomials in the Lefschetz symbol L and the counting series.
 
 The motivic class of a moduli space of stable framed representations is
-built from the partition labels alone; the tree side never enters, so it
-can serve as a cross-check.  For the no-arrow quiver the class collapses
-to a Gaussian binomial, computed here independently by brute-force subset
-enumeration as an oracle.
+read off its cell decomposition: one L^(cell dimension) per subtree label.
+The class does not depend on the path order, so the shortlex cells are
+used.  For the no-arrow quiver the class collapses to a Gaussian binomial,
+computed here independently by brute-force subset enumeration as an
+oracle.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .partitions import enumerate_partitions
+from .cells import cell_dim, enumerate_trees
+from .paths import PathOrder
 from .quiver import DimVector, FramedQuiver
 
 
@@ -56,9 +59,6 @@ class LaurentPoly:
                 data[e1 + e2] = data.get(e1 + e2, 0) + c1 * c2
         return LaurentPoly.from_dict(data)
 
-    def shift(self, n: int) -> "LaurentPoly":
-        return LaurentPoly(tuple((e + n, c) for e, c in self.coeffs))
-
     def degree(self) -> int | None:
         return self.coeffs[0][0] if self.coeffs else None
 
@@ -97,21 +97,21 @@ class LaurentPoly:
 
 
 def motivic_class(fq: FramedQuiver, d: DimVector) -> LaurentPoly:
-    """Sum of L^(ambient dim - |lambda|) over the cell labels of d."""
-    top = fq.hilb_dim(d)
-    data: dict[int, int] = {}
-    for lam in enumerate_partitions(fq, d):
-        e = top - lam.size
-        data[e] = data.get(e, 0) + 1
-    return LaurentPoly.from_dict(data)
+    """Sum of L^(cell dimension) over the cells of d."""
+    order = PathOrder.shortlex()
+    return LaurentPoly.from_dict(
+        Counter(cell_dim(fq, s, order) for s in enumerate_trees(fq, d, order))
+    )
 
 
 def betti_numbers(fq: FramedQuiver, d: DimVector) -> list[tuple[int, int]]:
-    """(cohomological degree, rank) pairs; rank in degree 2n = labels of size n."""
-    by_size: dict[int, int] = {}
-    for lam in enumerate_partitions(fq, d):
-        by_size[lam.size] = by_size.get(lam.size, 0) + 1
-    return [(2 * n, by_size[n]) for n in sorted(by_size)]
+    """(cohomological degree, rank) pairs, ascending.
+
+    The rank in degree 2n is the coefficient of L^(dim - n), dim being the
+    dimension of the moduli space.
+    """
+    top = fq.hilb_dim(d)
+    return [(2 * (top - e), c) for e, c in motivic_class(fq, d).coeffs]
 
 
 def gaussian_binomial(w: int, d: int) -> LaurentPoly:

@@ -5,27 +5,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cohalab import FramedQuiver, PathOrder, Quiver
-
-
-def loop_quiver(loops: int) -> Quiver:
-    names = "abcdefgh"
-    return Quiver.make(1, [(names[i], 0, 0) for i in range(loops)])
-
-
-def framed_loops(loops: int, w: int) -> FramedQuiver:
-    # single framing arrow is called f; two are e < f, as in the worked examples
-    names = {1: ["f"], 2: ["e", "f"]}.get(w)
-    return FramedQuiver(loop_quiver(loops), (w,), names)
-
-
-def vertex_only(w: int) -> FramedQuiver:
-    return FramedQuiver(Quiver.make(1, []), (w,))
-
-
-def framed_a2(w0: int) -> FramedQuiver:
-    names = {1: ["f"], 2: ["e", "f"], 3: ["e", "f", "g"]}.get(w0)
-    return FramedQuiver(Quiver.make(2, [("a", 0, 1)]), (w0, 0), names)
+from cohalab import PathOrder
+# the fixture builders live with the shared checks; test modules import them from here
+from cohalab.checks import framed_a2, framed_loops, loop_quiver, vertex_only
 
 
 @pytest.fixture
@@ -36,11 +18,6 @@ def two_loop():
 @pytest.fixture
 def two_loop_double_framing():
     return framed_loops(2, 2)
-
-
-@pytest.fixture
-def one_loop():
-    return framed_loops(1, 1)
 
 
 @pytest.fixture

@@ -239,3 +239,29 @@ def test_weighted_order_cli(two_loop_file, capsys):
         == 0
     )
     assert len(lines_of(capsys)) == 2
+
+
+BAD_INPUTS = [
+    pytest.param(["classify"], "rep a\n", id="rep-header"),
+    pytest.param(["classify"], "rep 3\nmatrix b\n0 0 0\n1 0 0\n", id="rep-truncated-matrix"),
+    pytest.param(["classify"], "rep 1\nframing 0 1\n", id="rep-framing-without-row"),
+    pytest.param(["classify"], "rep 1\nframing 0 1\n1/0\n", id="rep-zero-denominator"),
+    pytest.param(["classify"], "rep 1\nframing 0 1\nx\n", id="rep-non-number"),
+    pytest.param(["bijection", "--partition", "[x]", "--dim", "3"], None, id="partition"),
+    pytest.param(["shuffle", "--left", "d=1:x^x", "--right", "d=1:1"], None, id="exponent"),
+    pytest.param(["shuffle", "--left", "d=1:x[0,", "--right", "d=1:1"], None, id="cut-variable"),
+    pytest.param(["verify-basis", "--dim", "2", "--max-degree", "-1"], None, id="max-degree"),
+]
+
+
+@pytest.mark.parametrize("args, rep_text", BAD_INPUTS)
+def test_bad_input_is_one_error_line(args, rep_text, two_loop_file, tmp_path, capsys):
+    if rep_text is not None:
+        rep = tmp_path / "bad.rep"
+        rep.write_text(rep_text, encoding="utf-8")
+        args = args + ["-r", str(rep)]
+    assert run(args + ["-q", two_loop_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ")

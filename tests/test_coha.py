@@ -174,6 +174,12 @@ def test_kernel_d0(two_loop):
     assert k.dim == 0
 
 
+def test_kernel_dims_two_loop_d5(two_loop):
+    # golden values at a size where elimination meets non-unit pivots
+    dims = [kernel_graded_piece(two_loop, (5,), n).dim for n in range(12)]
+    assert dims == [0, 0, 0, 0, 0, 2, 3, 6, 12, 19, 29, 37]
+
+
 def test_tautological_monomials_two_loop(two_loop):
     lam2 = make_partition(two_loop, (3,), [(2,)])
     t = tautological_monomial(two_loop, lam2)

@@ -23,7 +23,8 @@ from cohalab import (
     tree_key,
     tree_to_partition,
 )
-from conftest import framed_a2, framed_loops, vertex_only
+from cohalab.checks import roundtrip_fixtures
+from conftest import framed_loops, vertex_only
 
 
 def phi_oracle(fq, d, lam):
@@ -115,21 +116,10 @@ def test_partition_to_tree_rejects_nonlabel(two_loop, shortlex):
         partition_to_tree(two_loop, lam, shortlex)
 
 
-FIXTURES = (
-    [(framed_loops(m, w), (d,)) for m in (1, 2, 3) for w in (1, 2) for d in (1, 2, 3)]
-    + [(vertex_only(w), (d,)) for w in (1, 2, 3, 4) for d in (1, 2, 3)]
-    + [
-        (framed_a2(w), d)
-        for w in (1, 2)
-        for d in [(1, 0), (1, 1), (2, 1), (2, 2)]
-    ]
-)
-
-
 @pytest.mark.parametrize("kind", ["shortlex", "lex"])
 def test_roundtrip_all_fixtures(kind):
     order = PathOrder.shortlex() if kind == "shortlex" else PathOrder.lex()
-    for fq, d in FIXTURES:
+    for fq, d in roundtrip_fixtures():
         trees = enumerate_trees(fq, d, order)
         labels = enumerate_partitions(fq, d)
         assert len(trees) == len(labels), (fq.framing, d)

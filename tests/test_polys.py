@@ -8,10 +8,6 @@ from cohalab.linalg import Span, rank, rref, vec
 from cohalab.polys import ExactDivisionError, Poly, det_bareiss, minors
 
 
-def poly_of(nvars, terms):
-    return Poly(nvars, {tuple(e): Fraction(c) for e, c in terms.items()})
-
-
 small_polys = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3)),
     st.fractions(min_value=-4, max_value=4, max_denominator=3),
@@ -115,3 +111,41 @@ def test_span_incremental():
     assert s.add(vec([0, 0, 5]))
     assert s.rank == 2
     assert not s.contains(vec([0, 1, 0]))
+
+
+entries = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+rows_of_entries = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), max_size=4)
+)
+int_coeffs = st.dictionaries(st.integers(0, 3), st.integers(-5, 5).filter(bool), max_size=3)
+
+
+def assert_exact(values):
+    assert not any(isinstance(x, float) for x in values)
+
+
+@settings(max_examples=50)
+@given(rows_of_entries)
+def test_int_and_fraction_rows_stay_exact(rows):
+    # int, Fraction and mixed rows: elimination must never fall back to float
+    reduced = rref(rows)
+    assert_exact(x for row in reduced for x in row)
+    assert rank(rows) == len(reduced)
+    span = Span(len(rows[0]) if rows else 0)
+    for row in rows:
+        span.add(row)
+        assert_exact(x for r in span.rows for x in r)
+    assert span.rank == len(reduced)
+
+
+@settings(max_examples=50)
+@given(int_coeffs, int_coeffs.filter(bool))
+def test_exact_div_int_coefficients_stay_exact(a, b):
+    f = Poly(1, {(e,): c for e, c in a.items()})
+    g = Poly(1, {(e,): c for e, c in b.items()})
+    product = Poly(1, {e: int(c) for e, c in (f * g).terms.items()})
+    quotient = product.exact_div(g)
+    assert_exact(quotient.terms.values())
+    assert quotient == f
