@@ -74,27 +74,21 @@ def udim(fq: FramedQuiver, s: Subtree) -> DimVector:
     return tuple(counts)
 
 
-def vertex_slice(fq: FramedQuiver, s: Subtree, i: int) -> tuple[Path, ...]:
-    """Elements of the subtree at vertex i, in the order they were stored."""
-    return tuple(u for u in s.paths if u and path_target(fq, u) == i)
-
-
 @dataclass(frozen=True)
 class CriticalSet:
-    """Minimal paths outside a subtree, with their k-statistics.
+    """Minimal paths outside a subtree, interleaved with the subtree.
 
-    k[j] counts the subtree elements at the target vertex of paths[j] that
-    precede paths[j] in the order; the cell dimension is sum(k).
+    paths is ascending in the order.  slices[i] is the ascending tuple of
+    subtree elements at vertex i, and k[j] counts those below paths[j] at
+    its target vertex; the cell dimension is sum(k).  Everything a cell
+    needs from the order is a prefix of a slice: the subtree elements at
+    vertex i below a critical v there are slices[i][:k_v], so the
+    degeneracy family of v is slices[i][:k_v] + (v,).
     """
 
     paths: tuple[Path, ...]
     k: tuple[int, ...]
-
-    def __iter__(self):
-        return iter(self.paths)
-
-    def at_vertex(self, fq: FramedQuiver, i: int) -> tuple[Path, ...]:
-        return tuple(v for v in self.paths if path_target(fq, v) == i)
+    slices: tuple[tuple[Path, ...], ...]
 
 
 def critical_paths(fq: FramedQuiver, members: frozenset) -> list[Path]:
@@ -107,19 +101,23 @@ def critical_paths(fq: FramedQuiver, members: frozenset) -> list[Path]:
 
 
 def critical_set(fq: FramedQuiver, s: Subtree, order: PathOrder) -> CriticalSet:
+    """One ascending sweep over the subtree and its critical paths.
+
+    The subtree may be stored in another order, so both are sorted
+    together once; each critical path then takes as k the length its
+    vertex's slice has reached.
+    """
     members = s.path_set
-    crit = order.sort(critical_paths(fq, members))
-    ks = []
-    for v in crit:
-        tv = path_target(fq, v)
-        ks.append(
-            sum(
-                1
-                for u in members
-                if u and path_target(fq, u) == tv and order.compare(u, v) < 0
-            )
-        )
-    return CriticalSet(tuple(crit), tuple(ks))
+    slices: list[list[Path]] = [[] for _ in range(fq.vertex_count)]
+    crit, ks = [], []
+    for u in order.sort(list(s.nonroot) + critical_paths(fq, members)):
+        slice_u = slices[path_target(fq, u)]
+        if u in members:
+            slice_u.append(u)
+        else:
+            crit.append(u)
+            ks.append(len(slice_u))
+    return CriticalSet(tuple(crit), tuple(ks), tuple(map(tuple, slices)))
 
 
 def cell_dim(fq: FramedQuiver, s: Subtree, order: PathOrder) -> int:
@@ -295,12 +293,11 @@ def in_cell(fq: FramedQuiver, m: NumericRep, s: Subtree, order: PathOrder) -> bo
         if not spans[path_target(fq, u)].add(m.path_vector(u)):
             return False
     crit = critical_set(fq, s, order)
-    for v in crit.paths:
+    for v, kv in zip(crit.paths, crit.k):
         i = path_target(fq, v)
         below = Span(m.d[i])
-        for u in s.nonroot:
-            if path_target(fq, u) == i and order.compare(u, v) < 0:
-                below.add(m.path_vector(u))
+        for u in crit.slices[i][:kv]:
+            below.add(m.path_vector(u))
         if not below.contains(m.path_vector(v)):
             return False
     return True
@@ -314,14 +311,8 @@ def in_degeneracy_locus(
         raise CellError("subtree counts do not match the representation")
     crit = critical_set(fq, s, order)
     for v, kv in zip(crit.paths, crit.k):
-        i = path_target(fq, v)
-        family = [
-            m.path_vector(u)
-            for u in s.nonroot
-            if path_target(fq, u) == i and order.compare(u, v) < 0
-        ]
-        family.append(m.path_vector(v))
-        if rank(family) == kv + 1:
+        family = crit.slices[path_target(fq, v)][:kv] + (v,)
+        if rank([m.path_vector(u) for u in family]) == kv + 1:
             return False
     return True
 

@@ -20,7 +20,6 @@ from .cells import (
     cell_dim,
     critical_set,
     udim,
-    vertex_slice,
 )
 from .paths import Path, PathOrder, format_path, parent, path_target
 from .polys import Poly, det_bareiss
@@ -59,14 +58,13 @@ def chart_coordinates(
     The count equals the chart dimension, which is the moduli dimension.
     """
     crit = critical_set(fq, s, order)
-    out = []
-    for i in range(fq.vertex_count):
-        basis_i = order.sort(vertex_slice(fq, s, i))
-        crit_i = crit.at_vertex(fq, i)
-        for v in crit_i:
-            for u in basis_i:
-                out.append((u, v))
-    return out
+    return [
+        (u, v)
+        for i, basis_i in enumerate(crit.slices)
+        for v in crit.paths
+        if path_target(fq, v) == i
+        for u in basis_i
+    ]
 
 
 def make_chart(fq: FramedQuiver, s: Subtree, order: PathOrder) -> Chart:
@@ -79,14 +77,10 @@ class _SymbolicExpander:
     def __init__(self, chart: Chart):
         self.chart = chart
         self.fq = chart.fq
-        self.order = chart.order
         self.members = chart.tree.path_set
-        self.crit = critical_set(self.fq, chart.tree, chart.order)
-        self.crit_set = set(self.crit.paths)
-        self.slices = {
-            i: self.order.sort(vertex_slice(self.fq, chart.tree, i))
-            for i in range(self.fq.vertex_count)
-        }
+        crit = critical_set(self.fq, chart.tree, chart.order)
+        self.crit_set = set(crit.paths)
+        self.slices = crit.slices
         self.var_of = {pair: k for k, pair in enumerate(chart.coords)}
         self.cache: dict[Path, list[Poly]] = {}
 
@@ -141,17 +135,11 @@ def _minor_groups(
     crit = critical_set(fq, target, order)
     groups: list[tuple[Path, list[Poly]]] = []
     for v, kv in zip(crit.paths, crit.k):
-        i = path_target(fq, v)
-        di = udim(fq, target)[i]
+        slice_v = crit.slices[path_target(fq, v)]
+        di = len(slice_v)
         if kv + 1 > di:
             continue  # rank bound equals the ambient dimension: no condition
-        family = [
-            u
-            for u in vertex_slice(fq, target, i)
-            if order.compare(u, v) < 0
-        ]
-        family = order.sort(family) + [v]
-        columns = [expander.vector(u) for u in family]
+        columns = [expander.vector(u) for u in slice_v[:kv] + (v,)]
         dets = []
         for rows in combinations(range(di), kv + 1):
             sub = [[columns[c][r] for c in range(kv + 1)] for r in rows]
@@ -245,12 +233,8 @@ def rep_from_chart(
     crit = critical_set(fq, s, order)
     crit_set = set(crit.paths)
     members = s.path_set
-    slices = {
-        i: order.sort(vertex_slice(fq, s, i)) for i in range(fq.vertex_count)
-    }
-    position = {
-        u: slices[path_target(fq, u)].index(u) for u in s.nonroot
-    }
+    slices = crit.slices
+    position = {u: j for slice_i in slices for j, u in enumerate(slice_i)}
 
     def column_for(path: Path) -> list[Fraction]:
         i = path_target(fq, path)

@@ -1,6 +1,6 @@
 """Command line entry point: one binary, subcommand per operation.
 
-Every run is deterministic given its inputs and the --seed flag; output
+Every run is deterministic given its inputs (and, for check, --seed); output
 rows are explicitly sorted and --json emits one object per row with
 stable field names.
 """
@@ -152,11 +152,7 @@ class _ExprParser:
         base = self.atom()
         while self.peek() == "^":
             self.take("^")
-            n = self.natural()
-            out = coha.unit(self.fq, self.d)
-            for _ in range(n):
-                out = coha.cup_product(out, base)
-            base = out
+            base = coha.SymPoly(self.fq, self.d, base.poly ** self.natural())
         return base
 
     def atom(self):
@@ -194,7 +190,10 @@ def parse_element(fq, text: str) -> coha.SymPoly:
     if not head.startswith("d="):
         raise DomainError("element must start with d=<dims>")
     d = _parse_dim(head[2:], fq)
-    return _ExprParser(fq, d, _tokenize(body)).parse()
+    element = _ExprParser(fq, d, _tokenize(body)).parse()
+    if not element.is_symmetric():
+        raise DomainError(f"element {text!r} is not symmetric within each vertex block")
+    return element
 
 
 # -- subcommand implementations ---------------------------------------------------
@@ -383,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, quiver_required=True, with_order=True, with_dim=False):
-        p.add_argument("-q", "--quiver", required=quiver_required, help="quiver file")
+    def common(p, with_order=True, with_dim=False):
+        p.add_argument("-q", "--quiver", required=True, help="quiver file")
         if with_dim:
             p.add_argument("--dim", required=True, help="dimension vector, e.g. 3 or 2,1")
         if with_order:
@@ -397,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "--weights",
                 help="arrow weights for wshortlex, e.g. a=1,b=2 (default 1)",
             )
-        p.add_argument("--seed", type=int, default=checks.DEFAULT_SEED)
         p.add_argument("--json", action="store_true", help="one JSON object per row")
 
     p = sub.add_parser("trees", help="enumerate cell labels")
@@ -447,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("check", help="run the built-in property suite")
-    common(p, quiver_required=False, with_order=False)
+    p.add_argument("--seed", type=int, default=checks.DEFAULT_SEED)
     p.set_defaults(fn=cmd_check)
 
     return parser

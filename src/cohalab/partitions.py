@@ -11,9 +11,9 @@ other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 
-from .cells import CellError, Subtree, critical_set, make_subtree, udim, vertex_slice
+from .cells import CellError, Subtree, critical_set, make_subtree
 from .paths import ROOT, Path, PathOrder, children, path_target
 from .quiver import DimVector, FramedQuiver, check_dim
 
@@ -147,22 +147,15 @@ def tree_to_partition(
     """Forward direction of the bijection.
 
     lambda^{(i)}_{d_i - k} counts the critical elements at vertex i below
-    the (k+1)-st subtree element at that vertex.
+    the (k+1)-st subtree element at that vertex.  A critical v at vertex i
+    lies below slices[i][k] exactly when k_v <= k, so the entry is the
+    number of critical v at vertex i with k_v <= k.
     """
-    d = udim(fq, s)
     crit = critical_set(fq, s, order)
-    parts = []
-    for i in range(fq.vertex_count):
-        slice_i = order.sort(vertex_slice(fq, s, i))
-        crit_i = crit.at_vertex(fq, i)
-        lam = [0] * d[i]
-        for k in range(d[i]):
-            below = sum(
-                1 for v in crit_i if order.compare(v, slice_i[k]) < 0
-            )
-            lam[d[i] - k - 1] = below
-        parts.append(tuple(lam))
-    return MultiPartition(tuple(parts))
+    at_k = [[0] * (len(slice_i) + 1) for slice_i in crit.slices]
+    for v, kv in zip(crit.paths, crit.k):
+        at_k[path_target(fq, v)][kv] += 1
+    return MultiPartition(tuple(tuple(accumulate(c[:-1]))[::-1] for c in at_k))
 
 
 def partition_to_tree(

@@ -1,10 +1,13 @@
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
 
 from cohalab import (
+    WSHORTLEX,
     CellError,
+    PathOrder,
     cell_dim,
     classify,
     critical_set,
@@ -18,11 +21,13 @@ from cohalab import (
     parse_rep_file,
     parse_tree,
     tree_leq,
+    tree_to_partition,
     udim,
 )
 from cohalab.cells import random_stable_rep
 from cohalab.linalg import rref
-from conftest import vertex_only
+from cohalab.paths import path_target
+from conftest import framed_a2, framed_loops, vertex_only
 
 
 def crit_names(fq, s, order):
@@ -76,6 +81,60 @@ def test_critical_udim_matches_formula(two_loop, shortlex, lex):
                 for v in cs.paths:
                     counts[two_loop.arrows[v[-1]].target] += 1
                 assert tuple(counts) == two_loop.critical_dim_vector(d)
+
+
+def pairwise_definitions(fq, s, order):
+    """Critical paths, k, slices and partition label of s straight from
+    their definitions: separate sorts and one order comparison per pair."""
+    members = s.path_set
+    crit = order.sort(
+        {
+            u + (a,)
+            for u in members
+            for a in fq.arrows_from(path_target(fq, u))
+            if u + (a,) not in members
+        }
+    )
+    slices = tuple(
+        tuple(order.sort(u for u in s.nonroot if path_target(fq, u) == i))
+        for i in range(fq.vertex_count)
+    )
+    k = tuple(
+        sum(1 for u in slices[path_target(fq, v)] if order.compare(u, v) < 0)
+        for v in crit
+    )
+    parts = []
+    for i, slice_i in enumerate(slices):
+        crit_i = [v for v in crit if path_target(fq, v) == i]
+        lam = [0] * len(slice_i)
+        for j, u in enumerate(slice_i):
+            lam[len(slice_i) - j - 1] = sum(1 for v in crit_i if order.compare(v, u) < 0)
+        parts.append(tuple(lam))
+    return tuple(crit), k, slices, tuple(parts)
+
+
+SWEEP_FIXTURES = [
+    pytest.param(framed_loops(2, w), [(d,) for d in range(5)], id=f"two-loop-w{w}")
+    for w in (1, 2)
+] + [
+    pytest.param(framed_a2(w), list(product(range(4), repeat=2)), id=f"a2-w{w}")
+    for w in (1, 2, 3)
+] + [pytest.param(vertex_only(4), [(d,) for d in range(5)], id="point-w4")]
+
+
+@pytest.mark.parametrize("fq, dims", SWEEP_FIXTURES)
+def test_sweep_matches_pairwise_definitions(fq, dims):
+    # trees stored under one order and read under another exercise the sort
+    weighted = PathOrder(WSHORTLEX, tuple(Fraction(a + 2, 2) for a in range(len(fq.arrows))))
+    orders = (PathOrder.shortlex(), PathOrder.lex(), weighted)
+    for d in dims:
+        for built in orders:
+            for s in enumerate_trees(fq, d, built):
+                for order in orders:
+                    crit, k, slices, parts = pairwise_definitions(fq, s, order)
+                    cs = critical_set(fq, s, order)
+                    assert (cs.paths, cs.k, cs.slices) == (crit, k, slices)
+                    assert tree_to_partition(fq, s, order).parts == parts
 
 
 SHORTLEX_TABLE = [
@@ -211,27 +270,6 @@ def test_classify_unstable(two_loop, shortlex):
     m = make_rep(two_loop, (3,), {"f": [[1], [0], [0]]})  # zero loops, d=3
     with pytest.raises(CellError, match="not stable"):
         classify(two_loop, m, shortlex)
-
-
-def test_partition_property_sample(two_loop, shortlex):
-    rng = Random(3)
-    trees = enumerate_trees(two_loop, (3,), shortlex)
-    for _ in range(25):
-        m = random_stable_rep(two_loop, (3,), rng)
-        s = classify(two_loop, m, shortlex)
-        hits = [t for t in trees if in_cell(two_loop, m, t, shortlex)]
-        assert [t.path_set for t in hits] == [s.path_set]
-
-
-def test_degeneracy_implies_larger_cell(two_loop, shortlex):
-    rng = Random(5)
-    trees = enumerate_trees(two_loop, (3,), shortlex)
-    for _ in range(25):
-        m = random_stable_rep(two_loop, (3,), rng)
-        s = classify(two_loop, m, shortlex)
-        for t in trees:
-            if in_degeneracy_locus(two_loop, m, t, shortlex):
-                assert tree_leq(shortlex, t, s)
 
 
 def test_degeneracy_zero_dim(two_loop, shortlex):

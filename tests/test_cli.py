@@ -115,6 +115,7 @@ def test_shuffle_expression_grammar(point_file):
     p = parse_element(fq, "d=2:x[0,1]*x[0,2] + 2*x[0,1]^2 + 2*x[0,2]^2 - 3")
     assert p.is_symmetric()
     assert p.degree() == 2
+    assert parse_element(fq, "d=1:x^1000000").degree() == 1000000
 
 
 def test_classify_cli(two_loop_file, tmp_path, capsys):
@@ -198,7 +199,7 @@ def test_check_suite(capsys):
 
 
 def test_deterministic_output(two_loop_file, capsys):
-    args = ["trees", "-q", two_loop_file, "--dim", "3", "--seed", "5"]
+    args = ["trees", "-q", two_loop_file, "--dim", "3"]
     assert run(args) == 0
     first = capsys.readouterr().out
     assert run(args) == 0
@@ -250,6 +251,7 @@ BAD_INPUTS = [
     pytest.param(["bijection", "--partition", "[x]", "--dim", "3"], None, id="partition"),
     pytest.param(["shuffle", "--left", "d=1:x^x", "--right", "d=1:1"], None, id="exponent"),
     pytest.param(["shuffle", "--left", "d=1:x[0,", "--right", "d=1:1"], None, id="cut-variable"),
+    pytest.param(["shuffle", "--left", "d=2:x", "--right", "d=1:1"], None, id="not-symmetric"),
     pytest.param(["verify-basis", "--dim", "2", "--max-degree", "-1"], None, id="max-degree"),
 ]
 

@@ -23,7 +23,6 @@ from cohalab import (
 )
 from cohalab.coha import coordinates
 from cohalab.linalg import rref
-from cohalab.quiver import euler_form
 from conftest import framed_a2, framed_loops, vertex_only
 
 
@@ -42,21 +41,6 @@ def random_sympoly(fq, d, degree, rng):
 # -- shuffle product ---------------------------------------------------------------
 
 
-def test_ones_annihilate_vertex_only():
-    fq = vertex_only(1)
-    assert shuffle_product(unit(fq, (1,)), unit(fq, (1,))).is_zero()
-
-
-def test_x_times_one_and_back():
-    fq = vertex_only(1)
-    x = variable(fq, (1,), 0, 1)
-    one = unit(fq, (1,))
-    left = shuffle_product(x, one)
-    right = shuffle_product(one, x)
-    assert left.poly.const_value() == -1
-    assert right.poly.const_value() == 1
-
-
 def test_one_loop_ones():
     fq = framed_loops(1, 1)
     one = unit(fq, (1,))
@@ -70,25 +54,6 @@ def test_exterior_vanishing():
     for _ in range(2):
         power = shuffle_product(power, one)
     assert power.is_zero()
-
-
-def test_degree_law_homogeneous():
-    rng = Random(1)
-    for fq in (vertex_only(1), framed_loops(2, 1), framed_a2(1)):
-        dims = [(1,)] if fq.vertex_count == 1 else [(1, 0), (0, 1), (1, 1)]
-        for d in dims:
-            for e in dims:
-                for n1 in range(3):
-                    for sig1 in slice_basis(d, n1)[:2]:
-                        f = monomial_symmetric(fq, d, sig1)
-                        for n2 in range(3):
-                            for sig2 in slice_basis(e, n2)[:2]:
-                                g = monomial_symmetric(fq, e, sig2)
-                                out = shuffle_product(f, g)
-                                if not out.is_zero():
-                                    assert out.degree() == n1 + n2 - euler_form(
-                                        fq.base, d, e
-                                    )
 
 
 @pytest.mark.parametrize(

@@ -60,13 +60,6 @@ def test_gaussian_row_sums(w):
         assert gaussian_binomial(w, d).evaluate_at_one() == comb(w, d)
 
 
-def test_motivic_equals_gaussian_up_to_seven():
-    for w in range(8):
-        for d in range(w + 1):
-            fq = vertex_only(w)
-            assert motivic_class(fq, (d,)).as_dict() == gaussian_binomial(w, d).as_dict()
-
-
 def test_gaussian_palindromic():
     for w in range(7):
         for d in range(w + 1):
