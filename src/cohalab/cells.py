@@ -375,6 +375,8 @@ def parse_rep_file(fq: FramedQuiver, text) -> NumericRep:
     if not rows or rows[0][0] != "rep":
         raise QuiverError("representation file must start with a 'rep' line")
     d = check_dim(fq.base, [_rep_number(x, int) for x in rows[0][1:]])
+    if any(x < 0 for x in d):
+        raise QuiverError("dimension entries must be non-negative")
 
     def block(start: int, count: int) -> list[list[Fraction]]:
         if start + count > len(rows):

@@ -176,7 +176,9 @@ class _ExprParser:
             else:
                 i, k = 0, 1
             return coha.variable(self.fq, self.d, i, k)
-        if tok is not None and tok.isdigit():
+        if tok is None:
+            raise DomainError("expression ends too early")
+        if tok.isdigit():
             return coha.unit(self.fq, self.d).scale(self.natural())
         raise DomainError(f"unexpected token {tok!r} in expression")
 
@@ -190,10 +192,7 @@ def parse_element(fq, text: str) -> coha.SymPoly:
     if not head.startswith("d="):
         raise DomainError("element must start with d=<dims>")
     d = _parse_dim(head[2:], fq)
-    element = _ExprParser(fq, d, _tokenize(body)).parse()
-    if not element.is_symmetric():
-        raise DomainError(f"element {text!r} is not symmetric within each vertex block")
-    return element
+    return _ExprParser(fq, d, _tokenize(body)).parse()
 
 
 # -- subcommand implementations ---------------------------------------------------

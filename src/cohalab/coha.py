@@ -2,18 +2,22 @@
 
 Graded pieces are block-symmetric polynomials: one variable block per
 vertex, invariant under permutations inside each block.  The product is a
-shuffle sum whose kernel factors can carry negative exponents on loopless
-vertices; those are handled by one global Vandermonde denominator per
-block and a single exact division at the end, whose exactness is asserted
-(a failed division means a broken product, never bad input).
+shuffle sum whose kernel factors carry first-order poles on loopless
+vertices.  It is computed in monomial-symmetric coordinates, the ones the
+kernel slices consume: one pass over the unshuffled core sums each orbit,
+and loopless blocks go through Schur coordinates (the bialternant formula
+absorbs the Vandermonde denominator) and Kostka numbers.  Nothing is
+permuted per shuffle and nothing is divided.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
+from math import comb, factorial, prod
 
 from .linalg import rref
 from .partitions import MultiPartition, enumerate_partitions, satisfies_phi
@@ -155,14 +159,24 @@ def _vandermonde(nvars: int, positions: tuple[int, ...]) -> Poly:
 def shuffle_product(f: SymPoly, g: SymPoly) -> SymPoly:
     """The shuffle product of graded pieces over d and e, landing in d+e.
 
-    Each shuffle term permutes the unshuffled product of f, g and the
-    pair-interaction kernel into place; loopless vertices contribute a
-    first-order pole per cross pair, cleared by multiplying every term by
-    its complementary Vandermonde factor and dividing the full sum by the
-    block Vandermonde at the end.  The division must be exact.
+    The core is f on block prefixes times g on block suffixes times the
+    kernel numerator, times the block Vandermondes V_d V_e at loopless
+    vertices, where the shuffle sum is divided by V_t.  The core is
+    invariant under S_d x S_e at looped blocks and alternating at loopless
+    ones, so the shuffle sum is 1/(d! e!) times its full (signed)
+    symmetrisation: one pass over the core buckets each exponent by its
+    block-sorted lam.  A looped bucket is the coefficient of m_lam times
+    |Stab lam|.  A loopless bucket keeps exponents with distinct entries,
+    each signed by its sort, and is the coefficient of s_{lam-delta},
+    delta = (t-1, ..., 0), by the bialternant formula
+    s_mu = a_{mu+delta} / a_delta (Macdonald, Symmetric Functions and Hall
+    Polynomials, I.3); it carries (-1)^C(t,2) because V_t is
+    (-1)^C(t,2) a_delta, and Kostka numbers expand it into m_mu.
     """
     if f.fq != g.fq:
         raise CohaError("elements live over different quivers")
+    if not (f.is_symmetric() and g.is_symmetric()):
+        raise CohaError("shuffle factors must be symmetric within each vertex block")
     fq = f.fq
     q = fq.base
     d, e = f.d, g.d
@@ -172,16 +186,8 @@ def shuffle_product(f: SymPoly, g: SymPoly) -> SymPoly:
     nv = q.vertex_count
 
     # embed f (block prefix) and g (block suffix) in the target ring
-    f_pos = [
-        offs[i] + r
-        for i in range(nv)
-        for r in range(d[i])
-    ]
-    g_pos = [
-        offs[i] + d[i] + s
-        for i in range(nv)
-        for s in range(e[i])
-    ]
+    f_pos = [offs[i] + r for i in range(nv) for r in range(d[i])]
+    g_pos = [offs[i] + d[i] + s for i in range(nv) for s in range(e[i])]
     core = f.poly.embed(n, f_pos) * g.poly.embed(n, g_pos)
 
     units = [unit_vector(q, i) for i in range(nv)]
@@ -200,81 +206,92 @@ def shuffle_product(f: SymPoly, g: SymPoly) -> SymPoly:
                     )
                     core = core * factor**power
 
-    loopless = [i for i in range(nv) if chi[i][i] == 1 and t[i] > 0]
+    loopless = [chi[i][i] == 1 and t[i] > 0 for i in range(nv)]
 
     # the complementary Vandermonde of each shuffle is the shuffled image of
     # the block Vandermondes, so it folds into the core once and for all
-    for i in loopless:
-        core = core * _vandermonde(n, tuple(offs[i] + p for p in range(d[i])))
-        core = core * _vandermonde(
-            n, tuple(offs[i] + d[i] + s for s in range(e[i]))
-        )
+    for i in range(nv):
+        if loopless[i]:
+            core = core * _vandermonde(n, tuple(range(offs[i], offs[i] + d[i])))
+            core = core * _vandermonde(n, tuple(range(offs[i] + d[i], offs[i] + t[i])))
 
-    total = Poly.zero(n)
-    block_choices = [combinations(range(t[i]), d[i]) for i in range(nv)]
-    for choice in product(*block_choices):
-        perm = list(range(n))
-        sign = 1
+    buckets: dict[Signature, Fraction] = {}
+    for exp, c in core.terms.items():
+        key = []
         for i in range(nv):
-            a_set = choice[i]
-            in_a = set(a_set)
-            b_set = [p for p in range(t[i]) if p not in in_a]
-            for p, target_slot in enumerate(a_set):
-                perm[offs[i] + p] = offs[i] + target_slot
-            for s, target_slot in enumerate(b_set):
-                perm[offs[i] + d[i] + s] = offs[i] + target_slot
-            if i in loopless:
-                inv = sum(1 for a in a_set for b in b_set if b < a)
-                if inv % 2:
-                    sign = -sign
-        term = core.permute_vars(perm)
-        total = total + (term if sign == 1 else -term)
+            block = exp[offs[i] : offs[i] + t[i]]
+            lam = tuple(sorted(block, reverse=True))
+            if loopless[i]:
+                if len(set(lam)) < t[i]:
+                    break
+                if sum(a < b for a, b in combinations(block, 2)) % 2:
+                    c = -c
+                lam = tuple(x - (t[i] - 1 - k) for k, x in enumerate(lam))
+            key.append(lam)
+        else:
+            buckets[tuple(key)] = buckets.get(tuple(key), 0) + c
 
-    if loopless:
-        denom = Poly.const(n, 1)
-        for i in loopless:
-            denom = denom * _vandermonde(n, tuple(offs[i] + p for p in range(t[i])))
-        total = total.exact_div(denom)
+    sign = (-1) ** sum(comb(t[i], 2) for i in range(nv) if loopless[i])
+    scale = Fraction(sign, prod(factorial(x) for x in d + e))
+    coords: dict[Signature, Fraction] = {}
+    for key, c in buckets.items():
+        expansions = [
+            _schur_to_monomial(lam) if loopless[i] else ((lam, _stabiliser_order(lam)),)
+            for i, lam in enumerate(key)
+        ]
+        for combo in product(*expansions):
+            sig = tuple(mu for mu, _ in combo)
+            coords[sig] = coords.get(sig, 0) + c * scale * prod(k for _, k in combo)
+    terms = {exp: c for sig, c in coords.items() if c for exp in _orbit(sig)}
 
-    result = SymPoly(fq, t, total)
-    if not result.is_symmetric():
-        raise AssertionError("shuffle product broke block symmetry")
+    result = SymPoly(fq, t, Poly(n, terms))
     if not result.is_zero():
         expected = f.degree() + g.degree() - euler_form(q, d, e)
-        if result.degree() > expected:
-            raise AssertionError("shuffle product broke the degree law")
-        if (
-            f.is_homogeneous()
-            and g.is_homogeneous()
-            and result.degree() != expected
-        ):
+        homogeneous = f.is_homogeneous() and g.is_homogeneous()
+        if result.degree() > expected or (homogeneous and result.degree() != expected):
             raise AssertionError("shuffle product broke the degree law")
     return result
+
+
+def _stabiliser_order(lam: tuple[int, ...]) -> int:
+    """|Stab lam| in the symmetric group: the product of multiplicities factorial."""
+    return prod(factorial(m) for m in Counter(lam).values())
+
+
+@lru_cache(maxsize=4096)
+def _schur_to_monomial(lam: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Pairs (mu, K_{lam,mu}) with s_lam = sum K_{lam,mu} m_mu in len(lam) variables."""
+    pad = (0,) * len(lam)
+    mus = (mu + pad[len(mu) :] for mu in _partitions_bounded_length(sum(lam), len(lam)))
+    return tuple((mu, k) for mu in mus if (k := _kostka(lam, mu)))
+
+
+def _kostka(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
+    """Semistandard tableaux of shape lam and content mu (equal lengths).
+
+    The entries equal to the largest value len(mu) form a horizontal strip
+    of size mu[-1]; stripping it leaves a shape nu interlacing lam,
+    lam[0] >= nu[0] >= lam[1] >= ... >= nu[-1] >= lam[-1].
+    """
+    if not mu:
+        return 1
+    rest = sum(lam) - mu[-1]
+    strips = product(*(range(lam[k + 1], lam[k] + 1) for k in range(len(lam) - 1)))
+    return sum(_kostka(nu, mu[:-1]) for nu in strips if sum(nu) == rest)
 
 
 # -- graded slices in the monomial symmetric basis --------------------------------
 
 
-def _partitions_bounded_length(total: int, max_parts: int):
-    """Weakly decreasing tuples summing to total with at most max_parts parts."""
+def _partitions_bounded_length(total: int, max_parts: int, cap: int = 0):
+    """Weakly decreasing positive tuples summing to total, at most max_parts
+    long, with parts at most cap (when cap is positive)."""
     if total == 0:
         yield ()
-        return
-    if max_parts == 0:
-        return
-
-    def rec(prefix, remaining, cap, slots):
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        if slots == 0:
-            return
-        for p in range(min(cap, remaining), 0, -1):
-            prefix.append(p)
-            yield from rec(prefix, remaining - p, p, slots - 1)
-            prefix.pop()
-
-    yield from rec([], total, total, max_parts)
+    elif max_parts:
+        for p in range(min(total, cap or total), 0, -1):
+            for rest in _partitions_bounded_length(total - p, max_parts - 1, p):
+                yield (p,) + rest
 
 
 Signature = tuple[tuple[int, ...], ...]
@@ -302,21 +319,15 @@ def slice_basis(d: DimVector, n: int) -> list[Signature]:
     return sorted(rec(0, n))
 
 
+def _orbit(sig: Signature):
+    """The distinct exponents in the block-permutation orbit of sig."""
+    for combo in product(*(set(permutations(lam)) for lam in sig)):
+        yield tuple(chain.from_iterable(combo))
+
+
 def monomial_symmetric(fq: FramedQuiver, d: DimVector, sig: Signature) -> SymPoly:
     """Sum of the distinct monomials in the block-permutation orbit of sig."""
-    n = sum(d)
-    offs = block_offsets(d)
-    per_block: list[set[tuple[int, ...]]] = []
-    for i, lam in enumerate(sig):
-        per_block.append(set(permutations(lam)))
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for combo in product(*per_block):
-        exp = [0] * n
-        for i, arrangement in enumerate(combo):
-            for k, p in enumerate(arrangement):
-                exp[offs[i] + k] = p
-        terms[tuple(exp)] = Fraction(1)
-    return SymPoly(fq, d, Poly(n, terms))
+    return SymPoly(fq, d, Poly(sum(d), dict.fromkeys(_orbit(sig), Fraction(1))))
 
 
 def coordinates(p: SymPoly, basis: list[Signature]) -> tuple[Fraction, ...]:
@@ -325,18 +336,12 @@ def coordinates(p: SymPoly, basis: list[Signature]) -> tuple[Fraction, ...]:
     index = {sig: j for j, sig in enumerate(basis)}
     out = [Fraction(0)] * len(basis)
     for exp, c in p.poly.terms.items():
-        sig = tuple(
-            tuple(sorted(exp[offs[i] : offs[i] + di], reverse=True))
-            for i, di in enumerate(p.d)
-        )
-        rep = tuple(
-            exp[offs[i] : offs[i] + di] == sig[i] for i, di in enumerate(p.d)
-        )
-        if all(rep):
-            j = index.get(sig)
-            if j is None:
+        sig = tuple(exp[o : o + di] for o, di in zip(offs, p.d))
+        # the orbit representative is the term whose blocks are sorted
+        if all(list(lam) == sorted(lam, reverse=True) for lam in sig):
+            if sig not in index:
                 raise CohaError("coordinate outside the declared graded slice")
-            out[j] = c
+            out[index[sig]] = c
     return tuple(out)
 
 

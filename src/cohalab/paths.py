@@ -33,11 +33,6 @@ def parent(u: Path) -> Path:
     return u[:-1]
 
 
-def is_prefix(u: Path, v: Path) -> bool:
-    """True iff u is a right factor of v (u precedes v in the tree order)."""
-    return len(u) <= len(v) and v[: len(u)] == u
-
-
 def children(fq: FramedQuiver, u: Path) -> list[Path]:
     """Paths a.u over arrows a starting at target(u); framing arrows at the root."""
     return [u + (a,) for a in fq.arrows_from(path_target(fq, u))]

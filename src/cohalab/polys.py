@@ -10,7 +10,6 @@ c_{u,v}); neither interpretation leaks in here.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable, Iterable, Mapping
 
 Exponent = tuple[int, ...]
@@ -174,39 +173,6 @@ class Poly:
         }
         return Poly(self.nvars, out)
 
-    def substitute(self, values: Mapping[int, "Poly"]) -> "Poly":
-        """Substitute polynomials for some variables; the rest stay."""
-        result = Poly.zero(self.nvars)
-        for exp, c in self.terms.items():
-            term = Poly.const(self.nvars, c)
-            rest = [0] * self.nvars
-            for i, e in enumerate(exp):
-                if e == 0:
-                    continue
-                if i in values:
-                    term = term * values[i] ** e
-                else:
-                    rest[i] = e
-            term = term * Poly.monomial(self.nvars, tuple(rest))
-            result = result + term
-        return result
-
-    def evaluate(self, point: list[Fraction]) -> Fraction:
-        total = ZERO
-        for exp, c in self.terms.items():
-            v = c
-            for i, e in enumerate(exp):
-                if e:
-                    v *= point[i] ** e
-            total += v
-        return total
-
-    def var_degree(self, index: int) -> int:
-        """Largest exponent of one variable; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(exp[index] for exp in self.terms)
-
     # -- exact division ------------------------------------------------------
 
     def exact_div(self, divisor: "Poly") -> "Poly":
@@ -310,15 +276,3 @@ def det_bareiss(rows: list[list[Poly]]) -> Poly:
         prev = m[k][k]
     result = m[n - 1][n - 1]
     return result if sign == 1 else -result
-
-
-def minors(rows: list[list[Poly]], size: int) -> list[Poly]:
-    """All size x size minors, row sets then column sets in lex order."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    out = []
-    for rset in combinations(range(nrows), size):
-        for cset in combinations(range(ncols), size):
-            sub = [[rows[r][c] for c in cset] for r in rset]
-            out.append(det_bareiss(sub))
-    return out

@@ -21,6 +21,7 @@ from cohalab import (
 from cohalab.paths import paths_up_to_length
 from cohalab.polys import Poly
 from conftest import vertex_only
+from helpers import evaluate, substitute
 
 
 def test_chart_coordinate_counts(two_loop, shortlex):
@@ -105,7 +106,7 @@ def test_minors_vanish_on_solved_parametrization(two_loop, shortlex):
         idx_c21: -(Poly.variable(n, idx_c31) * Poly.variable(n, idx_c43)),
     }
     for m in minors:
-        assert m.substitute(substitution).is_zero()
+        assert substitute(m, substitution).is_zero()
 
 
 def test_minors_in_own_chart_vanish_on_cell(two_loop, shortlex):
@@ -174,7 +175,7 @@ def test_symbolic_matches_numeric_at_random_point(two_loop, shortlex):
         if not path:
             continue
         sym = symbolic_vector(two_loop, s, shortlex, path)
-        assert tuple(p.evaluate(point) for p in sym) == rep.path_vector(path)
+        assert tuple(evaluate(p, point) for p in sym) == rep.path_vector(path)
 
 
 def test_chart_point_on_minors_classifies_above_target(two_loop, shortlex):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations, product
 from random import Random
 
 import pytest
@@ -10,6 +11,7 @@ from cohalab import (
     elementary,
     enumerate_partitions,
     framing_idempotent,
+    gaussian_binomial,
     kernel_graded_piece,
     make_partition,
     monomial_symmetric,
@@ -21,8 +23,10 @@ from cohalab import (
     variable,
     verify_basis,
 )
-from cohalab.coha import coordinates
+from cohalab.coha import SymPoly, _vandermonde, block_offsets, coordinates
 from cohalab.linalg import rref
+from cohalab.polys import Poly
+from cohalab.quiver import FramedQuiver, Quiver, euler_form, unit_vector
 from conftest import framed_a2, framed_loops, vertex_only
 
 
@@ -39,6 +43,152 @@ def random_sympoly(fq, d, degree, rng):
 
 
 # -- shuffle product ---------------------------------------------------------------
+
+
+def per_shuffle_product(f: SymPoly, g: SymPoly) -> SymPoly:
+    """Oracle: the shuffle product of graded pieces over d and e, landing in d+e.
+
+    Each shuffle term permutes the unshuffled product of f, g and the
+    pair-interaction kernel into place; loopless vertices contribute a
+    first-order pole per cross pair, cleared by multiplying every term by
+    its complementary Vandermonde factor and dividing the full sum by the
+    block Vandermonde at the end.  The division must be exact.
+    """
+    if f.fq != g.fq:
+        raise CohaError("elements live over different quivers")
+    fq = f.fq
+    q = fq.base
+    d, e = f.d, g.d
+    t = tuple(a + b for a, b in zip(d, e))
+    n = sum(t)
+    offs = block_offsets(t)
+    nv = q.vertex_count
+
+    # embed f (block prefix) and g (block suffix) in the target ring
+    f_pos = [
+        offs[i] + r
+        for i in range(nv)
+        for r in range(d[i])
+    ]
+    g_pos = [
+        offs[i] + d[i] + s
+        for i in range(nv)
+        for s in range(e[i])
+    ]
+    core = f.poly.embed(n, f_pos) * g.poly.embed(n, g_pos)
+
+    units = [unit_vector(q, i) for i in range(nv)]
+    chi = [[euler_form(q, units[i], units[j]) for j in range(nv)] for i in range(nv)]
+
+    # non-negative kernel exponents multiply into the numerator
+    for i in range(nv):
+        for j in range(nv):
+            power = -chi[i][j]
+            if power <= 0:
+                continue
+            for r in range(d[i]):
+                for s in range(e[j]):
+                    factor = Poly.variable(n, offs[j] + d[j] + s) - Poly.variable(
+                        n, offs[i] + r
+                    )
+                    core = core * factor**power
+
+    loopless = [i for i in range(nv) if chi[i][i] == 1 and t[i] > 0]
+
+    # the complementary Vandermonde of each shuffle is the shuffled image of
+    # the block Vandermondes, so it folds into the core once and for all
+    for i in loopless:
+        core = core * _vandermonde(n, tuple(offs[i] + p for p in range(d[i])))
+        core = core * _vandermonde(
+            n, tuple(offs[i] + d[i] + s for s in range(e[i]))
+        )
+
+    total = Poly.zero(n)
+    block_choices = [combinations(range(t[i]), d[i]) for i in range(nv)]
+    for choice in product(*block_choices):
+        perm = list(range(n))
+        sign = 1
+        for i in range(nv):
+            a_set = choice[i]
+            in_a = set(a_set)
+            b_set = [p for p in range(t[i]) if p not in in_a]
+            for p, target_slot in enumerate(a_set):
+                perm[offs[i] + p] = offs[i] + target_slot
+            for s, target_slot in enumerate(b_set):
+                perm[offs[i] + d[i] + s] = offs[i] + target_slot
+            if i in loopless:
+                inv = sum(1 for a in a_set for b in b_set if b < a)
+                if inv % 2:
+                    sign = -sign
+        term = core.permute_vars(perm)
+        total = total + (term if sign == 1 else -term)
+
+    if loopless:
+        denom = Poly.const(n, 1)
+        for i in loopless:
+            denom = denom * _vandermonde(n, tuple(offs[i] + p for p in range(t[i])))
+        total = total.exact_div(denom)
+
+    result = SymPoly(fq, t, total)
+    if not result.is_symmetric():
+        raise AssertionError("shuffle product broke block symmetry")
+    if not result.is_zero():
+        expected = f.degree() + g.degree() - euler_form(q, d, e)
+        if result.degree() > expected:
+            raise AssertionError("shuffle product broke the degree law")
+        if (
+            f.is_homogeneous()
+            and g.is_homogeneous()
+            and result.degree() != expected
+        ):
+            raise AssertionError("shuffle product broke the degree law")
+    return result
+
+
+def random_fraction_element(fq, d, degree, rng):
+    """Random combination of the monomial-symmetric basis, Fraction coefficients."""
+    total = unit(fq, d).scale(0)
+    for n in range(degree + 1):
+        for sig in slice_basis(d, n):
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            total = total + monomial_symmetric(fq, d, sig).scale(c)
+    return total
+
+
+ORACLE_FIXTURES = [
+    ("point-w1", vertex_only(1), [(d,) for d in range(4)], 6),
+    ("point-w3", vertex_only(3), [(d,) for d in range(4)], 6),
+    ("one-loop", framed_loops(1, 1), [(d,) for d in range(4)], 6),
+    ("two-loop", framed_loops(2, 1), [(d,) for d in range(4)], 5),
+    ("three-loop", framed_loops(3, 1), [(d,) for d in range(3)], 4),
+    ("a2", framed_a2(2), [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (0, 2)], 4),
+    (
+        "looped-and-loopless",
+        FramedQuiver(Quiver.make(2, [("a", 0, 1), ("b", 1, 0), ("l", 0, 0)]), (1, 0)),
+        [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1)],
+        4,
+    ),
+    (
+        "double-arrow",
+        FramedQuiver(Quiver.make(2, [("a", 0, 1), ("c", 0, 1)]), (1, 0)),
+        [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1)],
+        4,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "fq, dims, max_total", [f[1:] for f in ORACLE_FIXTURES], ids=[f[0] for f in ORACLE_FIXTURES]
+)
+def test_orbit_product_matches_per_shuffle_oracle(fq, dims, max_total):
+    rng = Random(2024)
+    for d in dims:
+        for e in dims:
+            if sum(d) + sum(e) > max_total:
+                continue
+            f = random_fraction_element(fq, d, 2, rng)
+            g = random_fraction_element(fq, e, 2, rng)
+            assert shuffle_product(f, g).poly == per_shuffle_product(f, g).poly, (d, e)
 
 
 def test_one_loop_ones():
@@ -80,6 +230,14 @@ def test_associativity_sample(fixture):
         lhs = shuffle_product(shuffle_product(f, g), h)
         rhs = shuffle_product(f, shuffle_product(g, h))
         assert lhs.poly == rhs.poly
+
+
+@pytest.mark.parametrize("fq", [vertex_only(1), framed_loops(2, 1)], ids=["point", "two-loop"])
+def test_non_symmetric_factor_is_rejected(fq):
+    with pytest.raises(CohaError):
+        shuffle_product(variable(fq, (2,), 0, 1), unit(fq, (1,)))
+    with pytest.raises(CohaError):
+        shuffle_product(unit(fq, (1,)), variable(fq, (2,), 0, 1))
 
 
 def test_quiver_mismatch():
@@ -143,6 +301,19 @@ def test_kernel_dims_two_loop_d5(two_loop):
     # golden values at a size where elimination meets non-unit pivots
     dims = [kernel_graded_piece(two_loop, (5,), n).dim for n in range(12)]
     assert dims == [0, 0, 0, 0, 0, 2, 3, 6, 12, 19, 29, 37]
+
+
+def test_kernel_dims_loopless_kostka_sizes():
+    # golden values where Kostka numbers exceed 1 (loopless blocks of size 4, 5)
+    reports = [verify_basis(vertex_only(7), (4,), n) for n in range(14)]
+    assert [r.kernel_dim for r in reports] == [
+        0, 0, 0, 0, 1, 2, 4, 7, 11, 15, 21, 26, 33, 39
+    ]
+    assert all(r.independent for r in reports)
+    coeffs = gaussian_binomial(7, 4).as_dict()
+    assert [r.quotient_dim for r in reports] == [coeffs.get(n, 0) for n in range(14)]
+    a2 = framed_a2(3)
+    assert [kernel_graded_piece(a2, (3, 2), n).dim for n in range(4)] == [0, 1, 4, 9]
 
 
 def test_tautological_monomials_two_loop(two_loop):

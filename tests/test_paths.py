@@ -5,8 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cohalab import PathOrder, children, format_path, monomial_axiom_check, parse_path
-from cohalab.paths import ROOT, is_prefix, parent, paths_up_to_length
+from cohalab.paths import ROOT, parent, paths_up_to_length
 from conftest import framed_a2, framed_loops
+from helpers import is_prefix
 
 
 def p(fq, text):
