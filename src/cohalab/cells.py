@@ -3,13 +3,15 @@
 A cell label is a finite lower-closed path set (a subtree of the path
 tree) with prescribed per-vertex counts.  This module enumerates labels,
 computes critical sets and cell dimensions, classifies explicit rational
-representations into cells by the greedy minimal-span algorithm, and tests
-degeneracy-locus membership, all in exact arithmetic.
+representations into cells, and tests degeneracy-locus membership, all in
+exact arithmetic.  Classification here and the partition-to-tree direction
+of the bijection are both greedy growth by grow_subtree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import heapq
+from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 
@@ -25,6 +27,7 @@ from .paths import (
     path_target,
 )
 from .quiver import INF_VERTEX, DimVector, FramedQuiver, QuiverError, check_dim
+from .quiver import parse_number
 
 
 class CellError(ValueError):
@@ -133,6 +136,40 @@ def tree_leq(order: PathOrder, a: Subtree, b: Subtree) -> bool:
     return tree_key(order, a) <= tree_key(order, b)
 
 
+def adjoin(fq: FramedQuiver, order: PathOrder, crit: list[Path], v: Path) -> list[Path]:
+    """The ascending critical list once v joins the tree.
+
+    crit is the ascending critical list without v; the children of v are
+    new critical paths and are merged in, so nothing is re-sorted.
+    """
+    new = sorted(children(fq, v), key=order.key)
+    return list(heapq.merge(crit, new, key=order.key))
+
+
+def grow_subtree(fq: FramedQuiver, order: PathOrder, total: int, accept) -> Subtree | None:
+    """Greedy growth from the root by total steps; None when a step stalls.
+
+    Each step walks the ascending critical list and adjoins the first v
+    with accept(v, i, seen), where i is the target of v and seen counts
+    the critical paths at i before v.  The first True adjoins v, so accept
+    may record the choice whenever it returns True.
+    """
+    chain = [ROOT]
+    crit = adjoin(fq, order, [], ROOT)
+    for _ in range(total):
+        seen = [0] * fq.vertex_count
+        for idx, v in enumerate(crit):
+            i = path_target(fq, v)
+            if accept(v, i, seen[i]):
+                break
+            seen[i] += 1
+        else:
+            return None
+        chain.append(v)
+        crit = adjoin(fq, order, crit[:idx] + crit[idx + 1 :], v)
+    return Subtree(tuple(order.sort(chain)))
+
+
 def enumerate_trees(
     fq: FramedQuiver, d: DimVector, order: PathOrder
 ) -> list[Subtree]:
@@ -161,12 +198,11 @@ def enumerate_trees(
             chain.append(v)
             # later critical elements of the old set stay critical; the
             # children of v are new and all exceed v in any admissible order
-            new_crit = order.sort(crit[idx + 1 :] + children(fq, v))
-            extend(chain, counts, new_crit)
+            extend(chain, counts, adjoin(fq, order, crit[idx + 1 :], v))
             chain.pop()
             counts[i] -= 1
 
-    extend([ROOT], [0] * fq.vertex_count, order.sort(children(fq, ROOT)))
+    extend([ROOT], [0] * fq.vertex_count, adjoin(fq, order, [], ROOT))
     return results
 
 
@@ -195,6 +231,7 @@ class NumericRep:
     fq: FramedQuiver
     d: DimVector
     matrices: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    _vectors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_dim(self.fq.base, self.d)
@@ -210,14 +247,19 @@ class NumericRep:
                 )
 
     def path_vector(self, u: Path) -> tuple[Fraction, ...]:
-        """The vector of the path: matrices applied to the unit framing vector."""
-        v = (Fraction(1),)
-        for idx in u:
-            m = self.matrices[idx]
+        """The vector of the path: the matrix of its last arrow applied to
+        the vector of its parent; the root carries the unit framing vector.
+        Memoised per path."""
+        if not u:
+            return (Fraction(1),)
+        v = self._vectors.get(u)
+        if v is None:
+            w = self.path_vector(u[:-1])
             v = tuple(
-                sum((row[j] * v[j] for j in range(len(v))), Fraction(0))
-                for row in m
+                sum((row[j] * w[j] for j in range(len(w))), Fraction(0))
+                for row in self.matrices[u[-1]]
             )
+            self._vectors[u] = v
         return v
 
 
@@ -242,49 +284,31 @@ def make_rep(fq: FramedQuiver, d: DimVector, entries) -> NumericRep:
 def classify(fq: FramedQuiver, m: NumericRep, order: PathOrder) -> Subtree:
     """The unique cell label of a stable representation.
 
-    Greedy construction: repeatedly adjoin the order-minimal critical path
+    Greedy growth (grow_subtree): adjoin the order-minimal critical path
     whose vector falls outside the span of the vectors collected so far at
-    its vertex; stop once the spans fill every vertex.  Only monomial
+    its vertex, while that vertex's span is short of d_i.  Only monomial
     orders make the greedy step valid.
     """
     if not order.is_monomial:
         raise CellError("classify requires a monomial order (shortlex kinds)")
-    d = m.d
-    total = sum(d)
-    spans = [Span(di) for di in d]
-    chain = [ROOT]
-    crit = order.sort(children(fq, ROOT))
-    vectors = {ROOT: (Fraction(1),)}
-    size = 0
-    while size < total:
-        chosen = None
-        for v in crit:
-            i = path_target(fq, v)
-            if spans[i].rank >= d[i]:
-                continue
-            if v not in vectors:
-                vectors[v] = m.path_vector(v)
-            if not spans[i].contains(vectors[v]):
-                chosen = v
-                break
-        if chosen is None:
-            raise CellError("not stable: framing does not generate the representation")
-        i = path_target(fq, chosen)
-        spans[i].add(vectors[chosen])
-        chain.append(chosen)
-        size += 1
-        crit = order.sort(
-            [w for w in crit if w != chosen] + children(fq, chosen)
-        )
-    return Subtree(tuple(order.sort(chain)))
+    spans = [Span(di) for di in m.d]
+
+    def accept(v: Path, i: int, seen: int) -> bool:
+        return spans[i].rank < m.d[i] and spans[i].add(m.path_vector(v))
+
+    tree = grow_subtree(fq, order, sum(m.d), accept)
+    if tree is None:
+        raise CellError("not stable: framing does not generate the representation")
+    return tree
 
 
 def in_cell(fq: FramedQuiver, m: NumericRep, s: Subtree, order: PathOrder) -> bool:
     """Exact membership test for the cell of the label s.
 
-    Requires the path vectors over s to form a basis and every critical
-    vector to lie in the span of the strictly smaller basis vectors at its
-    vertex.
+    Requires the path vectors over s to form a basis and the representation
+    to lie in the degeneracy locus of s: given that basis, a critical v lies
+    in the span of the smaller basis vectors at its vertex exactly when its
+    critical family is dependent.
     """
     if udim(fq, s) != m.d:
         return False
@@ -292,15 +316,7 @@ def in_cell(fq: FramedQuiver, m: NumericRep, s: Subtree, order: PathOrder) -> bo
     for u in s.nonroot:
         if not spans[path_target(fq, u)].add(m.path_vector(u)):
             return False
-    crit = critical_set(fq, s, order)
-    for v, kv in zip(crit.paths, crit.k):
-        i = path_target(fq, v)
-        below = Span(m.d[i])
-        for u in crit.slices[i][:kv]:
-            below.add(m.path_vector(u))
-        if not below.contains(m.path_vector(v)):
-            return False
-    return True
+    return in_degeneracy_locus(fq, m, s, order)
 
 
 def in_degeneracy_locus(
@@ -360,13 +376,6 @@ def random_stable_rep(
 # Omitted blocks default to zero.
 
 
-def _rep_number(token: str, kind=Fraction):
-    try:
-        return kind(token)
-    except (ValueError, ZeroDivisionError):
-        raise QuiverError(f"bad number {token!r} in representation file") from None
-
-
 def parse_rep_file(fq: FramedQuiver, text) -> NumericRep:
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -374,7 +383,7 @@ def parse_rep_file(fq: FramedQuiver, text) -> NumericRep:
     rows: list[list[str]] = [ln.split() for ln in lines if ln]
     if not rows or rows[0][0] != "rep":
         raise QuiverError("representation file must start with a 'rep' line")
-    d = check_dim(fq.base, [_rep_number(x, int) for x in rows[0][1:]])
+    d = check_dim(fq.base, [parse_number(x, int) for x in rows[0][1:]])
     if any(x < 0 for x in d):
         raise QuiverError("dimension entries must be non-negative")
 
@@ -382,7 +391,7 @@ def parse_rep_file(fq: FramedQuiver, text) -> NumericRep:
         if start + count > len(rows):
             head = " ".join(rows[start - 1])
             raise QuiverError(f"file ends inside block {head!r}")
-        return [[_rep_number(x) for x in row] for row in rows[start : start + count]]
+        return [[parse_number(x) for x in row] for row in rows[start : start + count]]
 
     entries: dict[str, list[list[Fraction]]] = {}
     pos = 1
@@ -404,7 +413,7 @@ def parse_rep_file(fq: FramedQuiver, text) -> NumericRep:
         elif head[0] == "framing":
             if len(head) != 3:
                 raise QuiverError("expected: framing <vertex> <slot>")
-            vertex, slot = (_rep_number(x, int) for x in head[1:])
+            vertex, slot = (parse_number(x, int) for x in head[1:])
             if not 0 <= vertex < fq.vertex_count:
                 raise QuiverError(f"framing vertex {vertex} out of range")
             if not 1 <= slot <= fq.framing[vertex]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path as FilePath
 from random import Random
 
@@ -44,6 +43,8 @@ def _parse_dim(text: str, fq: quiver.FramedQuiver) -> tuple[int, ...]:
 
 def _parse_order(args, fq: quiver.FramedQuiver) -> paths.PathOrder:
     kind = args.order
+    if args.weights is not None and kind != "wshortlex":
+        raise DomainError("--weights needs --order wshortlex")
     if kind == "shortlex":
         return paths.PathOrder.shortlex()
     if kind == "lex":
@@ -53,10 +54,12 @@ def _parse_order(args, fq: quiver.FramedQuiver) -> paths.PathOrder:
         for piece in args.weights.split(","):
             if "=" not in piece:
                 raise DomainError(f"bad weight {piece!r}; use name=value")
-            name, value = piece.split("=", 1)
+            name, value = (x.strip() for x in piece.split("=", 1))
+            if name in weights:
+                raise DomainError(f"weight for {name!r} given twice")
             try:
-                weights[name.strip()] = Fraction(value.strip())
-            except (ValueError, ZeroDivisionError):
+                weights[name] = quiver.parse_number(value)
+            except quiver.QuiverError:
                 raise DomainError(f"bad weight value {value!r}") from None
     try:
         return paths.PathOrder.weighted_shortlex(fq, weights)
@@ -76,10 +79,11 @@ def _emit(args, rows: list[dict], text_of) -> None:
 #
 #   expr   := term (('+' | '-') term)*
 #   term   := factor ('*' factor)*
-#   factor := atom ('^' natural)*
-#   atom   := integer | 'x[' i ',' k ']' | 'x' | '(' expr ')' | '-' atom
+#   factor := '-' factor | atom ('^' natural)*
+#   atom   := integer | 'x[' i ',' k ']' | 'x' | '(' expr ')'
 #
-# Bare 'x' abbreviates x[0,1].
+# Bare 'x' abbreviates x[0,1].  Unary minus binds looser than '^', so
+# -x^2 is -(x^2), as SymPoly.format writes it.
 
 
 def _tokenize(text: str) -> list[str]:
@@ -125,7 +129,7 @@ class _ExprParser:
         tok = self.take()
         if not tok.isdigit():
             raise DomainError(f"expected a number in expression, found {tok!r}")
-        return int(tok)
+        return quiver.parse_number(tok, int)
 
     def parse(self) -> coha.SymPoly:
         result = self.expr()
@@ -149,6 +153,9 @@ class _ExprParser:
         return left
 
     def factor(self):
+        if self.peek() == "-":
+            self.take()
+            return -self.factor()
         base = self.atom()
         while self.peek() == "^":
             self.take("^")
@@ -157,9 +164,6 @@ class _ExprParser:
 
     def atom(self):
         tok = self.peek()
-        if tok == "-":
-            self.take()
-            return -self.atom()
         if tok == "(":
             self.take("(")
             inner = self.expr()

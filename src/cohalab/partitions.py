@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, product
 
-from .cells import CellError, Subtree, critical_set, make_subtree
-from .paths import ROOT, Path, PathOrder, children, path_target
+from .cells import CellError, Subtree, critical_set, grow_subtree
+from .paths import Path, PathOrder, path_target
 from .quiver import DimVector, FramedQuiver, check_dim
 
 
@@ -161,40 +161,27 @@ def tree_to_partition(
 def partition_to_tree(
     fq: FramedQuiver, lam: MultiPartition, order: PathOrder
 ) -> Subtree:
-    """Inverse direction of the bijection, built inductively.
+    """Inverse direction of the bijection, by greedy growth.
 
-    Maintains a growing tree; at each step, every vertex i whose current
-    m-statistic is below c(beta)_i nominates the (m+1)-st element of its
-    critical slice, and the order-minimal nominee joins the tree.  Stalls
-    exactly when the partition fails the labelling condition.
+    With counts beta adjoined so far, vertex i accepts its critical path
+    of index m = lambda^{(i)}_{d_i - beta_i} (counted from 0), and
+    grow_subtree adjoins the order-minimal accepted path.  Vertex i has
+    exactly c(beta)_i critical paths, so an index m >= c(beta)_i is never
+    reached; a full vertex (index 0, the sentinel) accepts nothing.  The
+    growth stalls exactly when the partition fails the labelling condition.
     """
     d = lam.shape()
-    total = sum(d)
-    chain: list[Path] = [ROOT]
     counts = [0] * fq.vertex_count
-    crit: list[Path] = order.sort(children(fq, ROOT))
-    while len(chain) - 1 < total:
-        beta = tuple(counts)
-        c = fq.critical_dim_vector(beta)
-        nominee: Path | None = None
-        nominee_vertex = None
-        for i in range(fq.vertex_count):
-            m = lam.entry(i, d[i] - beta[i])
-            if m is None or m >= c[i]:
-                continue
-            crit_i = [v for v in crit if path_target(fq, v) == i]
-            candidate = crit_i[m]
-            if nominee is None or order.compare(candidate, nominee) < 0:
-                nominee = candidate
-                nominee_vertex = i
-        if nominee is None:
-            raise CellError("partition does not label a cell (construction stalls)")
-        chain.append(nominee)
-        counts[nominee_vertex] += 1
-        crit = order.sort(
-            [w for w in crit if w != nominee] + children(fq, nominee)
-        )
-    tree = make_subtree(fq, order, chain)
+
+    def accept(v: Path, i: int, seen: int) -> bool:
+        if seen != lam.entry(i, d[i] - counts[i]):
+            return False
+        counts[i] += 1
+        return True
+
+    tree = grow_subtree(fq, order, sum(d), accept)
+    if tree is None:
+        raise CellError("partition does not label a cell (construction stalls)")
     return tree
 
 

@@ -8,7 +8,9 @@ declaration order.  Dimension vectors are plain int tuples.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 INF_VERTEX = -1
 
@@ -18,6 +20,30 @@ SignedVector = tuple[int, ...]
 
 class QuiverError(ValueError):
     """Malformed quiver data or file."""
+
+
+MAX_DIGITS = 1000
+_NUMBER = {
+    int: re.compile(r"[+-]?\d+"),
+    Fraction: re.compile(r"[+-]?(\d+/\d+|\d+\.?\d*|\.\d+)"),
+}
+
+
+def parse_number(token: str, kind=Fraction):
+    """An integer, or for Fraction also p/q or a plain decimal.
+
+    Exponent forms and tokens of more than MAX_DIGITS digits are refused,
+    so that no input can ask for a huge power of ten.
+    """
+    token = token.strip()
+    if sum(ch.isdigit() for ch in token) > MAX_DIGITS:
+        raise QuiverError(f"number with more than {MAX_DIGITS} digits")
+    if _NUMBER[kind].fullmatch(token) is None:
+        raise QuiverError(f"bad number {token!r}")
+    try:
+        return kind(token)
+    except ZeroDivisionError:
+        raise QuiverError(f"bad number {token!r}") from None
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,11 @@ from cohalab import (
     tree_to_partition,
     udim,
 )
-from cohalab.cells import random_stable_rep
+from cohalab.cells import NumericRep, random_rep, random_stable_rep
 from cohalab.linalg import rref
 from cohalab.paths import path_target
 from conftest import framed_a2, framed_loops, vertex_only
+from helpers import in_cell_pairwise, oracle_fixtures, oracle_orders, path_vector_from_root
 
 
 def crit_names(fq, s, order):
@@ -321,3 +322,49 @@ def test_parse_rep_rationals(two_loop):
 def test_udim_of_parsed_tree(two_loop, shortlex):
     s = parse_tree(two_loop, shortlex, "f,af,bf")
     assert udim(two_loop, s) == (3,)
+
+
+# -- the earlier implementations as oracles ------------------------------------------
+
+
+def seeded_reps(fq, d, rng):
+    """Stable reps: one generic (entries up to 9) and two sparse ones
+    (entries in -1..1), which land in lower cells."""
+    reps = []
+    for bound, want in ((9, 1), (1, 3)):
+        for _ in range(100):
+            if len(reps) == want:
+                break
+            m = random_rep(fq, d, rng, bound)
+            try:
+                classify(fq, m, PathOrder.shortlex())
+            except CellError:
+                continue
+            reps.append(m)
+    return reps
+
+
+@pytest.mark.parametrize(
+    "name, fq, dims", [pytest.param(*f, id=f[0]) for f in oracle_fixtures()]
+)
+def test_path_vector_and_in_cell_match_oracles(name, fq, dims):
+    rng = Random(f"oracle-{name}")
+    compared = hits = 0
+    for d in dims:
+        trees_by_order = [(order, enumerate_trees(fq, d, order)) for order in oracle_orders(fq)]
+        if not trees_by_order[0][1]:
+            continue
+        for m in seeded_reps(fq, d, rng):
+            fresh = NumericRep(m.fq, m.d, m.matrices)
+            before = (hash(m), repr(m))
+            for order, trees in trees_by_order:
+                for s in trees:
+                    for u in s.paths + critical_set(fq, s, order).paths:
+                        assert m.path_vector(u) == path_vector_from_root(m, u)
+                    got = in_cell(fq, m, s, order)
+                    assert got == in_cell_pairwise(fq, m, s, order)
+                    compared += 1
+                    hits += got
+            # the memo is invisible to equality, hashing and repr
+            assert m == fresh and (hash(m), repr(m)) == before == (hash(fresh), repr(fresh))
+    assert compared > hits > 0

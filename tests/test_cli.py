@@ -1,12 +1,17 @@
 import json
+from fractions import Fraction
+from random import Random
 
 import pytest
 
 from cohalab.cli import parse_element, run
+from cohalab.coha import SymPoly
+from cohalab.polys import Poly
 from cohalab.quiver import parse_quiver_file
 
 TWO_LOOP_Q = "vertices 1\narrow a 0 0\narrow b 0 0\nframing 1\nframenames f\n"
 POINT_Q = "vertices 1\nframing 1\nframenames f\n"
+A2_Q = "vertices 2\narrow a 0 1\nframing 1 1\n"
 JORDAN_REP = (
     "rep 3\nmatrix b\n0 0 0\n1 0 0\n0 1 0\nframing 0 1\n1 0 0\n"
 )
@@ -116,6 +121,28 @@ def test_shuffle_expression_grammar(point_file):
     assert p.is_symmetric()
     assert p.degree() == 2
     assert parse_element(fq, "d=1:x^1000000").degree() == 1000000
+    # unary minus binds looser than ^
+    x2 = parse_element(fq, "d=1:x^2")
+    assert parse_element(fq, "d=1:-x^2") == -x2 == parse_element(fq, "d=1:0-x^2")
+    assert parse_element(fq, "d=1:--x^2") == x2
+    y = parse_element(fq, "d=2:x[0,1]^2*x[0,2]^2")
+    assert parse_element(fq, "d=2:-x[0,1]^2*x[0,2]^2") == -y
+    assert parse_element(fq, "d=2:2*-x[0,1]^2*x[0,2]^2") == y.scale(-2)
+
+
+def test_formatted_elements_parse_back():
+    rng = Random(5)
+    for text, dims in [(POINT_Q, [(0,), (1,), (2,), (3,)]), (A2_Q, [(1, 1), (2, 1)])]:
+        fq = parse_quiver_file(text)
+        for _ in range(100):
+            d = rng.choice(dims)
+            terms = {
+                tuple(rng.randint(0, 3) for _ in range(sum(d))): Fraction(rng.choice([-3, -1, 1, 2]))
+                for _ in range(rng.randint(1, 4))
+            }
+            element = SymPoly(fq, d, Poly(sum(d), terms))
+            head = "d=" + ",".join(map(str, d))
+            assert parse_element(fq, f"{head}:{element.format()}") == element
 
 
 def test_classify_cli(two_loop_file, tmp_path, capsys):
@@ -242,6 +269,7 @@ def test_weighted_order_cli(two_loop_file, capsys):
     assert len(lines_of(capsys)) == 2
 
 
+WSHORTLEX = ["trees", "--dim", "2", "--order", "wshortlex"]
 BAD_INPUTS = [
     pytest.param(["classify"], "rep a\n", id="rep-header"),
     pytest.param(["classify"], "rep 3\nmatrix b\n0 0 0\n1 0 0\n", id="rep-truncated-matrix"),
@@ -253,6 +281,13 @@ BAD_INPUTS = [
     pytest.param(["shuffle", "--left", "d=1:x[0,", "--right", "d=1:1"], None, id="cut-variable"),
     pytest.param(["shuffle", "--left", "d=2:x", "--right", "d=1:1"], None, id="not-symmetric"),
     pytest.param(["verify-basis", "--dim", "2", "--max-degree", "-1"], None, id="max-degree"),
+    pytest.param(["classify"], "rep 1\nframing 0 1\n1e999999999\n", id="rep-exponent"),
+    pytest.param(WSHORTLEX + ["--weights", "a=1e999999999"], None, id="weight-exponent"),
+    pytest.param(
+        ["shuffle", "--left", "d=1:" + "9" * 5000, "--right", "d=1:1"], None, id="long-integer"
+    ),
+    pytest.param(["trees", "--dim", "2", "--weights", "a=2"], None, id="weights-without-order"),
+    pytest.param(WSHORTLEX + ["--weights", "a=2,b=1,a=3"], None, id="weight-twice"),
 ]
 
 

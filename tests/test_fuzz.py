@@ -204,3 +204,44 @@ def test_shuffle_cli_is_total(tmp_path):
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
     check()
+
+
+weight_values = st.one_of(
+    small_numbers, junk, st.sampled_from(["", "1e3", "2.5", "+4", "-0", "7/3", "9" * 1200])
+)
+
+
+@st.composite
+def weight_texts(draw):
+    """'--weights' texts over the two-loop arrows, some with repeats or junk."""
+    pieces = []
+    for _ in range(draw(st.integers(0, 4))):
+        name = draw(st.sampled_from(["a", "b", "f", "c", " a", ""]))
+        sep = draw(st.sampled_from(["=", "=", "=", ":", "=="]))
+        pieces.append(name + sep + draw(weight_values))
+    return ",".join(pieces)
+
+
+def test_weights_cli_is_total(tmp_path):
+    quiver = tmp_path / "twoloop.q"
+    quiver.write_text("vertices 1\narrow a 0 0\narrow b 0 0\nframing 1\nframenames f\n")
+
+    @FUZZ
+    @given(
+        st.sampled_from(["trees", "bijection"]),
+        st.sampled_from(["shortlex", "lex", "wshortlex", "wshortlex", "wshortlex"]),
+        weight_texts(),
+    )
+    def check(command, order, weights):
+        out, err = io.StringIO(), io.StringIO()
+        extra = ["--dim", "3"] if command == "trees" else ["--tree", "f,af,bbf"]
+        argv = [command, "-q", str(quiver), "--order", order, f"--weights={weights}"]
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(argv + extra)
+        if code == 0:
+            assert out.getvalue() and err.getvalue() == ""
+        else:
+            assert code == 1 and out.getvalue() == ""
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+    check()

@@ -24,7 +24,9 @@ from cohalab import (
     tree_to_partition,
 )
 from cohalab.checks import roundtrip_fixtures
+from cohalab.partitions import MultiPartition, _vertex_partitions
 from conftest import framed_loops, vertex_only
+from helpers import oracle_fixtures, oracle_orders, partition_to_tree_by_nominees
 
 
 def phi_oracle(fq, d, lam):
@@ -202,3 +204,28 @@ def test_phi_agrees_with_oracle_random(parts):
     lam_parts = tuple(sorted(parts, reverse=True))
     lam = make_partition(fq, (3,), [lam_parts])
     assert satisfies_phi(fq, (3,), lam) == phi_oracle(fq, (3,), lam)
+
+
+def tree_or_error(build, fq, lam, order):
+    try:
+        return build(fq, lam, order)
+    except CellError:
+        return CellError
+
+
+@pytest.mark.parametrize(
+    "name, fq, dims", [pytest.param(*f, id=f[0]) for f in oracle_fixtures()]
+)
+def test_partition_to_tree_matches_nominee_oracle(name, fq, dims):
+    # every multipartition in the enumerate_partitions box, labels or not
+    labels = 0
+    for d in dims:
+        c = fq.critical_dim_vector(d)
+        box = [list(_vertex_partitions(max(0, c[i]), d[i])) for i in range(fq.vertex_count)]
+        for order in oracle_orders(fq):
+            for combo in product(*box):
+                lam = MultiPartition(tuple(combo))
+                got = tree_or_error(partition_to_tree, fq, lam, order)
+                assert got == tree_or_error(partition_to_tree_by_nominees, fq, lam, order)
+                labels += got is not CellError
+    assert labels > 0
