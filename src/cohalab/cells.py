@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 
-from .linalg import Span, rank, vec
+from .linalg import Span, vec
 from .paths import (
     ROOT,
     Path,
@@ -322,13 +322,26 @@ def in_cell(fq: FramedQuiver, m: NumericRep, s: Subtree, order: PathOrder) -> bo
 def in_degeneracy_locus(
     fq: FramedQuiver, m: NumericRep, s: Subtree, order: PathOrder
 ) -> bool:
-    """True iff every critical family {vectors at u <= v, same vertex} is dependent."""
+    """True iff every critical family {vectors at u <= v, same vertex} is dependent.
+
+    The family of a critical v at vertex i is the prefix slices[i][:k_v]
+    plus v, and k_v never decreases along the ascending critical list, so
+    one Span per vertex grows along its slice.  Once a prefix vector fails
+    to enlarge it, every longer prefix, and each family containing one, is
+    dependent; otherwise the family is independent exactly when v lies
+    outside the span of its prefix.
+    """
     if udim(fq, s) != m.d:
         raise CellError("subtree counts do not match the representation")
     crit = critical_set(fq, s, order)
+    spans = [Span(di) for di in m.d]
+    free = [True] * len(m.d)  # the prefix grown so far at vertex i is independent
     for v, kv in zip(crit.paths, crit.k):
-        family = crit.slices[path_target(fq, v)][:kv] + (v,)
-        if rank([m.path_vector(u) for u in family]) == kv + 1:
+        i = path_target(fq, v)
+        prefix = crit.slices[i]
+        while free[i] and spans[i].rank < kv:
+            free[i] = spans[i].add(m.path_vector(prefix[spans[i].rank]))
+        if free[i] and not spans[i].contains(m.path_vector(v)):
             return False
     return True
 

@@ -7,21 +7,21 @@ vertices.  It is computed in monomial-symmetric coordinates, the ones the
 kernel slices consume: one pass over the unshuffled core sums each orbit,
 and loopless blocks go through Schur coordinates (the bialternant formula
 absorbs the Vandermonde denominator) and Kostka numbers.  Nothing is
-permuted per shuffle and nothing is divided.
+permuted per shuffle, and the only division is the one by d! e! per
+coordinate.  Integer inputs stay int throughout.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, permutations, product
 from math import comb, factorial, prod
 
 from .linalg import rref
 from .partitions import MultiPartition, enumerate_partitions, satisfies_phi
-from .polys import Poly
+from .polys import Coeff, Poly, divide
 from .quiver import DimVector, FramedQuiver, check_dim, euler_form, unit_vector
 from .series import motivic_class
 
@@ -215,7 +215,7 @@ def shuffle_product(f: SymPoly, g: SymPoly) -> SymPoly:
             core = core * _vandermonde(n, tuple(range(offs[i], offs[i] + d[i])))
             core = core * _vandermonde(n, tuple(range(offs[i] + d[i], offs[i] + t[i])))
 
-    buckets: dict[Signature, Fraction] = {}
+    buckets: dict[Signature, Coeff] = {}
     for exp, c in core.terms.items():
         key = []
         for i in range(nv):
@@ -231,9 +231,7 @@ def shuffle_product(f: SymPoly, g: SymPoly) -> SymPoly:
         else:
             buckets[tuple(key)] = buckets.get(tuple(key), 0) + c
 
-    sign = (-1) ** sum(comb(t[i], 2) for i in range(nv) if loopless[i])
-    scale = Fraction(sign, prod(factorial(x) for x in d + e))
-    coords: dict[Signature, Fraction] = {}
+    coords: dict[Signature, Coeff] = {}
     for key, c in buckets.items():
         expansions = [
             _schur_to_monomial(lam) if loopless[i] else ((lam, _stabiliser_order(lam)),)
@@ -241,8 +239,11 @@ def shuffle_product(f: SymPoly, g: SymPoly) -> SymPoly:
         ]
         for combo in product(*expansions):
             sig = tuple(mu for mu, _ in combo)
-            coords[sig] = coords.get(sig, 0) + c * scale * prod(k for _, k in combo)
-    terms = {exp: c for sig, c in coords.items() if c for exp in _orbit(sig)}
+            coords[sig] = coords.get(sig, 0) + c * prod(k for _, k in combo)
+    sign = (-1) ** sum(comb(t[i], 2) for i in range(nv) if loopless[i])
+    denominator = sign * prod(factorial(x) for x in d + e)
+    scaled = {sig: divide(c, denominator) for sig, c in coords.items() if c}
+    terms = {exp: c for sig, c in scaled.items() for exp in _orbit(sig)}
 
     result = SymPoly(fq, t, Poly(n, terms))
     if not result.is_zero():
@@ -327,14 +328,14 @@ def _orbit(sig: Signature):
 
 def monomial_symmetric(fq: FramedQuiver, d: DimVector, sig: Signature) -> SymPoly:
     """Sum of the distinct monomials in the block-permutation orbit of sig."""
-    return SymPoly(fq, d, Poly(sum(d), dict.fromkeys(_orbit(sig), Fraction(1))))
+    return SymPoly(fq, d, Poly(sum(d), dict.fromkeys(_orbit(sig), 1)))
 
 
-def coordinates(p: SymPoly, basis: list[Signature]) -> tuple[Fraction, ...]:
+def coordinates(p: SymPoly, basis: list[Signature]) -> tuple[Coeff, ...]:
     """Coordinates of a symmetric element in the monomial-symmetric basis."""
     offs = block_offsets(p.d)
     index = {sig: j for j, sig in enumerate(basis)}
-    out = [Fraction(0)] * len(basis)
+    out = [0] * len(basis)
     for exp, c in p.poly.terms.items():
         sig = tuple(exp[o : o + di] for o, di in zip(offs, p.d))
         # the orbit representative is the term whose blocks are sorted
@@ -347,12 +348,16 @@ def coordinates(p: SymPoly, basis: list[Signature]) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class GradedSubspace:
-    """Row-reduced subspace of one graded slice; equality is canonical."""
+    """Row-reduced subspace of one graded slice; equality is canonical.
+
+    rows are the canonical form of linalg.rref: primitive integer rows with
+    positive pivots, in reduced echelon form.
+    """
 
     d: DimVector
     n: int
     basis: tuple[Signature, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
 
     @property
     def dim(self) -> int:
@@ -374,7 +379,7 @@ def kernel_graded_piece(fq: FramedQuiver, d: DimVector, n: int) -> GradedSubspac
     if n < 0:
         raise CohaError("negative degree")
     basis = slice_basis(d, n)
-    rows: list[tuple[Fraction, ...]] = []
+    rows: list[tuple[Coeff, ...]] = []
     for dprime in product(*(range(x + 1) for x in d)):
         if all(x == 0 for x in dprime):
             continue

@@ -11,6 +11,7 @@ other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, product
 
 from .cells import CellError, Subtree, critical_set, grow_subtree
@@ -69,10 +70,7 @@ def satisfies_phi(fq: FramedQuiver, d: DimVector, lam: MultiPartition) -> bool:
     d = check_dim(fq.base, d)
     if lam.shape() != d:
         raise CellError("partition shape does not match the dimension vector")
-    for beta in product(*(range(x + 1) for x in d)):
-        if beta == d:
-            continue
-        c = fq.critical_dim_vector(beta)
+    for beta, c in _critical_table(fq, d):
         ok = False
         for i in range(fq.vertex_count):
             e = lam.entry(i, d[i] - beta[i])
@@ -82,6 +80,20 @@ def satisfies_phi(fq: FramedQuiver, d: DimVector, lam: MultiPartition) -> bool:
         if not ok:
             return False
     return True
+
+
+@lru_cache(maxsize=64)
+def _critical_table(fq: FramedQuiver, d: DimVector) -> tuple:
+    """The pairs (beta, c(beta)) over the box 0 <= beta <= d, beta != d.
+
+    c(beta) does not depend on the partition under test, so the table is
+    built once per box and every satisfies_phi call over it reads it here.
+    """
+    return tuple(
+        (beta, fq.critical_dim_vector(beta))
+        for beta in product(*(range(x + 1) for x in d))
+        if beta != d
+    )
 
 
 def partition_sort_key(lam: MultiPartition):

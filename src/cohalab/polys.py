@@ -1,8 +1,11 @@
 """Sparse multivariate polynomials over exact rationals.
 
-Exponent vectors are plain int tuples of a fixed length; coefficients are
-Fraction.  Zero coefficients are never stored, so equality of term dicts is
-equality of polynomials.  This module is the arithmetic core shared by the
+Exponent vectors are plain int tuples of a fixed length.  Coefficients are
+int wherever they are integers: constructors and scaling store integral
+values as int, and division promotes to Fraction only for a quotient that
+is not an integer, so integer inputs stay in integer arithmetic.  Zero
+coefficients are never stored, so equality of term dicts is equality of
+polynomials.  This module is the arithmetic core shared by the
 shuffle algebra (variables x_{i,k}) and the chart computations (variables
 c_{u,v}); neither interpretation leaks in here.
 """
@@ -14,18 +17,37 @@ from typing import Callable, Iterable, Mapping
 
 Exponent = tuple[int, ...]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+Coeff = int | Fraction
+
+ZERO = 0
+ONE = 1
+
+
+def _normal(c) -> Coeff:
+    """c as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def divide(a: Coeff, b: Coeff) -> Coeff:
+    """a / b, an int when the quotient is one (floor division when exact)."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _normal(Fraction(a, b))
 
 
 class Poly:
-    """Polynomial in ``nvars`` variables with Fraction coefficients."""
+    """Polynomial in ``nvars`` variables with int or Fraction coefficients."""
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping[Exponent, Fraction] | None = None):
+    def __init__(self, nvars: int, terms: Mapping[Exponent, Coeff] | None = None):
         self.nvars = nvars
-        self.terms: dict[Exponent, Fraction] = dict(terms) if terms else {}
+        self.terms: dict[Exponent, Coeff] = dict(terms) if terms else {}
 
     # -- constructors ------------------------------------------------------
 
@@ -35,7 +57,7 @@ class Poly:
 
     @classmethod
     def const(cls, nvars: int, c) -> "Poly":
-        c = Fraction(c)
+        c = _normal(c)
         if c == 0:
             return cls(nvars)
         return cls(nvars, {(0,) * nvars: c})
@@ -48,7 +70,7 @@ class Poly:
 
     @classmethod
     def monomial(cls, nvars: int, exp: Exponent, c=1) -> "Poly":
-        c = Fraction(c)
+        c = _normal(c)
         if c == 0:
             return cls(nvars)
         if len(exp) != nvars:
@@ -63,7 +85,7 @@ class Poly:
     def is_const(self) -> bool:
         return all(all(e == 0 for e in exp) for exp in self.terms)
 
-    def const_value(self) -> Fraction:
+    def const_value(self) -> Coeff:
         if self.is_zero():
             return ZERO
         if not self.is_const():
@@ -111,7 +133,7 @@ class Poly:
             raise ValueError("variable count mismatch")
         if len(self.terms) > len(other.terms):
             self, other = other, self
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Coeff] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exp = tuple(a + b for a, b in zip(e1, e2))
@@ -123,7 +145,7 @@ class Poly:
         return Poly(self.nvars, out)
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
+        c = _normal(c)
         if c == 0:
             return Poly(self.nvars)
         return Poly(self.nvars, {exp: c * v for exp, v in self.terms.items()})
@@ -148,14 +170,14 @@ class Poly:
         inverse = [0] * n
         for i, p in enumerate(perm):
             inverse[p] = i
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Coeff] = {}
         for exp, c in self.terms.items():
             out[tuple(exp[j] for j in inverse)] = c
         return Poly(n, out)
 
     def embed(self, nvars: int, positions: list[int]) -> "Poly":
         """View self in a larger ring, variable i going to slot positions[i]."""
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Coeff] = {}
         for exp, c in self.terms.items():
             new = [0] * nvars
             for i, e in enumerate(exp):
@@ -180,24 +202,26 @@ class Poly:
 
         Uses the leading-term algorithm under the lex order on exponent
         tuples; when the division is exact this terminates with quotient
-        equal to self/divisor.
+        equal to self/divisor.  Coefficient quotients go through divide,
+        so they stay int whenever they are integers.
         """
         if divisor.is_zero():
             raise ExactDivisionError("division by zero polynomial")
         if self.is_zero():
             return Poly(self.nvars)
         if divisor.is_const():
-            return self.scale(1 / Fraction(divisor.const_value()))
+            c = divisor.const_value()
+            return Poly(self.nvars, {exp: divide(v, c) for exp, v in self.terms.items()})
         lead_g = max(divisor.terms)
-        cg = Fraction(divisor.terms[lead_g])
+        cg = divisor.terms[lead_g]
         rem = dict(self.terms)
-        quot: dict[Exponent, Fraction] = {}
+        quot: dict[Exponent, Coeff] = {}
         while rem:
             lead_r = max(rem)
             texp = tuple(a - b for a, b in zip(lead_r, lead_g))
             if any(e < 0 for e in texp):
                 raise ExactDivisionError("non-exact polynomial division")
-            tc = rem[lead_r] / cg
+            tc = divide(rem[lead_r], cg)
             quot[texp] = tc
             for exp, c in divisor.terms.items():
                 target = tuple(a + b for a, b in zip(exp, texp))

@@ -1,5 +1,5 @@
 """Polynomial and path helpers that only the tests use, and the earlier
-implementations of the cells layer kept as oracles."""
+implementations of the cells and linalg layers kept as oracles."""
 
 from __future__ import annotations
 
@@ -69,6 +69,35 @@ def is_prefix(u: Path, v: Path) -> bool:
     return len(u) <= len(v) and v[: len(u)] == u
 
 
+# -- oracles: Gauss-Jordan over Fraction, before elimination went fraction-free ------
+
+
+def rref_fraction(rows) -> list[tuple[Fraction, ...]]:
+    """Reduced row echelon form with unit pivots over Fraction; zero rows dropped."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    ncols = len(m[0]) if m else 0
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        r += 1
+        if r == len(m):
+            break
+    return [tuple(row) for row in m[:r]]
+
+
+def rank_fraction(rows) -> int:
+    return len(rref_fraction(rows))
+
+
 # -- oracles: the cells layer before greedy growth was shared ------------------------
 
 
@@ -106,6 +135,19 @@ def in_cell_pairwise(
         for u in crit.slices[i][:kv]:
             below.add(path_vector_from_root(m, u))
         if not below.contains(path_vector_from_root(m, v)):
+            return False
+    return True
+
+
+def in_degeneracy_locus_by_rank(
+    fq: FramedQuiver, m: NumericRep, s: Subtree, order: PathOrder
+) -> bool:
+    """True iff every critical family {vectors at u <= v, same vertex} is
+    dependent, each family's rank computed from scratch."""
+    crit = critical_set(fq, s, order)
+    for v, kv in zip(crit.paths, crit.k):
+        family = crit.slices[path_target(fq, v)][:kv] + (v,)
+        if rank_fraction([path_vector_from_root(m, u) for u in family]) == kv + 1:
             return False
     return True
 

@@ -28,7 +28,14 @@ from cohalab.cells import NumericRep, random_rep, random_stable_rep
 from cohalab.linalg import rref
 from cohalab.paths import path_target
 from conftest import framed_a2, framed_loops, vertex_only
-from helpers import in_cell_pairwise, oracle_fixtures, oracle_orders, path_vector_from_root
+from helpers import (
+    in_cell_pairwise,
+    in_degeneracy_locus_by_rank,
+    oracle_fixtures,
+    oracle_orders,
+    path_vector_from_root,
+    rank_fraction,
+)
 
 
 def crit_names(fq, s, order):
@@ -368,3 +375,41 @@ def test_path_vector_and_in_cell_match_oracles(name, fq, dims):
             # the memo is invisible to equality, hashing and repr
             assert m == fresh and (hash(m), repr(m)) == before == (hash(fresh), repr(fresh))
     assert compared > hits > 0
+
+
+def has_dependent_prefix(fq, m, s, order) -> bool:
+    """Some critical family has a dependent prefix slices[i][:k_v]."""
+    crit = critical_set(fq, s, order)
+    return any(
+        rank_fraction([m.path_vector(u) for u in crit.slices[path_target(fq, v)][:kv]]) < kv
+        for v, kv in zip(crit.paths, crit.k)
+    )
+
+
+@pytest.mark.parametrize(
+    "name, fq, dims", [pytest.param(*f, id=f[0]) for f in oracle_fixtures()]
+)
+def test_degeneracy_locus_matches_rank_oracle(name, fq, dims):
+    # seeded reps, stable or not: generic ones (entries up to 9) and sparse
+    # ones (entries in -1..1), whose families often have dependent prefixes
+    rng = Random(f"locus-{name}")
+    seen = set()
+    for d in dims:
+        trees_by_order = [(order, enumerate_trees(fq, d, order)) for order in oracle_orders(fq)]
+        if not trees_by_order[0][1]:
+            continue
+        for bound in (9, 1, 1):
+            m = random_rep(fq, d, rng, bound)
+            try:
+                classify(fq, m, PathOrder.shortlex())
+                stable = True
+            except CellError:
+                stable = False
+            for order, trees in trees_by_order:
+                for s in trees:
+                    got = in_degeneracy_locus(fq, m, s, order)
+                    assert got == in_degeneracy_locus_by_rank(fq, m, s, order)
+                    seen.add((got, stable, has_dependent_prefix(fq, m, s, order)))
+    assert {got for got, _, _ in seen} == {True, False}
+    assert {stable for _, stable, _ in seen} == {True, False}
+    assert any(dependent for _, _, dependent in seen)

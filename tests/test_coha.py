@@ -191,6 +191,22 @@ def test_orbit_product_matches_per_shuffle_oracle(fq, dims, max_total):
             assert shuffle_product(f, g).poly == per_shuffle_product(f, g).poly, (d, e)
 
 
+@pytest.mark.parametrize(
+    "fq, dims, max_total", [f[1:] for f in ORACLE_FIXTURES], ids=[f[0] for f in ORACLE_FIXTURES]
+)
+def test_int_elements_have_int_products(fq, dims, max_total):
+    # integer inputs stay in integer arithmetic: the division by d! e! is exact
+    rng = Random(7)
+    for d in dims:
+        for e in dims:
+            if sum(d) + sum(e) > max_total:
+                continue
+            f, g = random_sympoly(fq, d, 2, rng), random_sympoly(fq, e, 2, rng)
+            assert all(type(c) is int for c in f.poly.terms.values())
+            product = shuffle_product(f, g)
+            assert all(type(c) is int for c in product.poly.terms.values()), (d, e)
+
+
 def test_one_loop_ones():
     fq = framed_loops(1, 1)
     one = unit(fq, (1,))
@@ -301,6 +317,16 @@ def test_kernel_dims_two_loop_d5(two_loop):
     # golden values at a size where elimination meets non-unit pivots
     dims = [kernel_graded_piece(two_loop, (5,), n).dim for n in range(12)]
     assert dims == [0, 0, 0, 0, 0, 2, 3, 6, 12, 19, 29, 37]
+
+
+def test_kernel_dims_two_loop_d6(two_loop):
+    # golden values, the same under the earlier Fraction elimination; the
+    # kernel rows come back in the canonical int form
+    reports = [verify_basis(two_loop, (6,), n) for n in range(14)]
+    assert [r.kernel_dim for r in reports] == [0, 0, 0, 0, 0, 0, 2, 3, 6, 10, 19, 27, 44, 61]
+    assert all(r.independent for r in reports)
+    rows = kernel_graded_piece(two_loop, (6,), 9).rows
+    assert all(type(x) is int for row in rows for x in row)
 
 
 def test_kernel_dims_loopless_kostka_sizes():

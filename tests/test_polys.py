@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from cohalab.linalg import Span, rank, rref, vec
 from cohalab.polys import ExactDivisionError, Poly, det_bareiss
-from helpers import minors, substitute, var_degree
+from helpers import minors, rank_fraction, rref_fraction, substitute, var_degree
 
 
 small_polys = st.dictionaries(
@@ -150,3 +151,106 @@ def test_exact_div_int_coefficients_stay_exact(a, b):
     quotient = product.exact_div(g)
     assert_exact(quotient.terms.values())
     assert quotient == f
+
+
+def test_exact_div_promotes_only_non_integral_quotients():
+    x, one = Poly.variable(1, 0), Poly.const(1, 1)
+    q = ((x + one) * (x.scale(3) - one.scale(2))).exact_div(x + one)
+    assert q == x.scale(3) - one.scale(2)
+    assert all(type(c) is int for c in q.terms.values())
+    # a Fraction input whose quotient is integral comes back as int
+    q = Poly(1, {(1,): Fraction(6), (0,): Fraction(3)}).exact_div(Poly.const(1, 3))
+    assert q.terms == {(1,): 2, (0,): 1}
+    assert all(type(c) is int for c in q.terms.values())
+    # (2x^2 + x) / 2x = x + 1/2: only the non-integral coefficient is a Fraction
+    q = ((x * x).scale(2) + x).exact_div(x.scale(2))
+    assert q.terms == {(1,): 1, (0,): Fraction(1, 2)}
+    assert type(q.terms[(1,)]) is int and type(q.terms[(0,)]) is Fraction
+    q = (x + one).exact_div(Poly.const(1, -2))
+    assert q.terms == {(1,): Fraction(-1, 2), (0,): Fraction(-1, 2)}
+
+
+# -- fraction-free elimination against the Fraction Gauss-Jordan oracle -------------
+
+small_ints = st.integers(-9, 9)
+small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+ENTRIES = {
+    "int": small_ints,
+    "fraction": small_fractions,
+    "mixed": st.one_of(small_ints, small_fractions),
+}
+
+
+@st.composite
+def matrices(draw):
+    """int, Fraction or mixed rows with entries up to 9 in size, followed by
+    combinations of them, so that non-unit pivots and dependent rows occur."""
+    ncols = draw(st.integers(1, 5))
+    entry = ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))]
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=5))
+    if rows:
+        weights = st.lists(small_ints, min_size=len(rows), max_size=len(rows))
+        for ws in draw(st.lists(weights, max_size=2)):
+            rows.append([sum(w * r[j] for w, r in zip(ws, rows)) for j in range(ncols)])
+    rows = draw(st.permutations(rows))
+    return ncols, rows
+
+
+def primitive(row) -> tuple[int, ...]:
+    """A rational row scaled to a primitive integer row, keeping its sign."""
+    scale = lcm(*(Fraction(x).denominator for x in row))
+    ints = [int(x * scale) for x in row]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def assert_canonical_rows(rows):
+    """Primitive int rows whose first non-zero entry (the pivot) is positive."""
+    for row in rows:
+        assert all(type(x) is int for x in row)
+        assert gcd(*row) == 1
+        assert next(x for x in row if x) > 0
+
+
+@settings(max_examples=100)
+@given(matrices())
+def test_rref_and_rank_match_fraction_oracle(shape):
+    _, rows = shape
+    oracle = rref_fraction(rows)
+    got = rref(rows)
+    assert got == [primitive(r) for r in oracle]
+    assert_canonical_rows(got)
+    assert rank(rows) == len(oracle)
+
+
+@settings(max_examples=100)
+@given(matrices(), st.data())
+def test_rref_equal_for_equal_spans(shape, data):
+    _, rows = shape
+    # rescale, permute and shear the rows: the span stays the same
+    nonzero = st.one_of(small_ints, small_fractions).filter(bool)
+    scalars = data.draw(st.lists(nonzero, min_size=len(rows), max_size=len(rows)))
+    other = [[c * x for x in r] for c, r in zip(scalars, rows)]
+    other = data.draw(st.permutations(other))
+    if len(other) > 1:
+        w = data.draw(small_ints)
+        other[0] = [a + w * b for a, b in zip(other[0], other[1])]
+    assert rref(other) == rref(rows)
+
+
+@settings(max_examples=100)
+@given(matrices(), st.data())
+def test_span_matches_fraction_oracle(shape, data):
+    ncols, rows = shape
+    span = Span(ncols)
+    for k, row in enumerate(rows):
+        enlarged = rank_fraction(rows[: k + 1]) > rank_fraction(rows[:k])
+        assert span.add(row) == enlarged
+        assert span.contains(row)
+    assert span.rank == rank_fraction(rows)
+    assert_canonical_rows(span.rows)
+    probes = data.draw(st.lists(st.lists(ENTRIES["mixed"], min_size=ncols, max_size=ncols), max_size=3))
+    for probe in probes:
+        inside = rank_fraction(rows + [probe]) == rank_fraction(rows)
+        assert span.contains(probe) == inside
+        assert any(span.reduce(probe)) != inside
