@@ -47,7 +47,6 @@ from .coha import (
     tautological_monomial,
     top_degree,
     unit,
-    variable,
     verify_basis,
 )
 from .partitions import (

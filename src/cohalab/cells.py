@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 
-from .linalg import Span, vec
+from .linalg import Span, Vector, vec
 from .paths import (
     ROOT,
     Path,
@@ -225,12 +225,12 @@ class NumericRep:
     matrices[idx] is the matrix of the framed arrow idx; framing arrows
     (source at the framing vertex, which carries a fixed one-dimensional
     space) get d_target x 1 columns, base arrows i->j get d_j x d_i blocks.
-    Matrices are tuples of row tuples of Fractions.
+    Matrices are tuples of row tuples of exact numbers, int where integral.
     """
 
     fq: FramedQuiver
     d: DimVector
-    matrices: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    matrices: tuple[tuple[Vector, ...], ...]
     _vectors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -246,17 +246,17 @@ class NumericRep:
                     f"matrix for arrow {a.name!r} must be {rows}x{cols}"
                 )
 
-    def path_vector(self, u: Path) -> tuple[Fraction, ...]:
+    def path_vector(self, u: Path) -> Vector:
         """The vector of the path: the matrix of its last arrow applied to
         the vector of its parent; the root carries the unit framing vector.
         Memoised per path."""
         if not u:
-            return (Fraction(1),)
+            return (1,)
         v = self._vectors.get(u)
         if v is None:
             w = self.path_vector(u[:-1])
             v = tuple(
-                sum((row[j] * w[j] for j in range(len(w))), Fraction(0))
+                sum(row[j] * w[j] for j in range(len(w)))
                 for row in self.matrices[u[-1]]
             )
             self._vectors[u] = v
@@ -273,7 +273,7 @@ def make_rep(fq: FramedQuiver, d: DimVector, entries) -> NumericRep:
         cols = 1 if a.source == INF_VERTEX else d[a.source]
         block = named.pop(a.name, None)
         if block is None:
-            mats.append(tuple((Fraction(0),) * cols for _ in range(rows)))
+            mats.append(tuple((0,) * cols for _ in range(rows)))
         else:
             mats.append(tuple(vec(r) for r in block))
     if named:
@@ -357,7 +357,7 @@ def random_rep(
         cols = 1 if a.source == INF_VERTEX else d[a.source]
         mats.append(
             tuple(
-                tuple(Fraction(rng.randint(-bound, bound)) for _ in range(cols))
+                tuple(rng.randint(-bound, bound) for _ in range(cols))
                 for _ in range(rows)
             )
         )

@@ -22,7 +22,7 @@ from .cells import (
     udim,
 )
 from .paths import Path, PathOrder, format_path, parent, path_target
-from .polys import Poly, det_bareiss
+from .polys import Coeff, Poly, det_bareiss, normal
 from .quiver import INF_VERTEX, FramedQuiver
 
 
@@ -236,14 +236,14 @@ def rep_from_chart(
     slices = crit.slices
     position = {u: j for slice_i in slices for j, u in enumerate(slice_i)}
 
-    def column_for(path: Path) -> list[Fraction]:
+    def column_for(path: Path) -> list[Coeff]:
         i = path_target(fq, path)
-        col = [Fraction(0)] * d[i]
+        col = [0] * d[i]
         if path in members:
-            col[position[path]] = Fraction(1)
+            col[position[path]] = 1
         elif path in crit_set:
             for j, u in enumerate(slices[i]):
-                col[j] = Fraction(values.get((u, path), 0))
+                col[j] = normal(values.get((u, path), 0))
         else:
             raise CellError("path escapes the basis and its critical boundary")
         return col

@@ -10,10 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path as FilePath
 from random import Random
 
 from . import cells, charts, checks, coha, partitions, paths, quiver, series
+from .polys import Poly
 
 
 class DomainError(Exception):
@@ -83,7 +85,8 @@ def _emit(args, rows: list[dict], text_of) -> None:
 #   atom   := integer | 'x[' i ',' k ']' | 'x' | '(' expr ')'
 #
 # Bare 'x' abbreviates x[0,1].  Unary minus binds looser than '^', so
-# -x^2 is -(x^2), as SymPoly.format writes it.
+# -x^2 is -(x^2), as SymPoly.format writes it.  Expressions evaluate to a
+# Poly; parse_element's conversion to SymPoly refuses a non-symmetric one.
 
 
 def _tokenize(text: str) -> list[str]:
@@ -107,8 +110,7 @@ def _tokenize(text: str) -> list[str]:
 
 
 class _ExprParser:
-    def __init__(self, fq, d, tokens):
-        self.fq = fq
+    def __init__(self, d, tokens):
         self.d = d
         self.tokens = tokens
         self.pos = 0
@@ -131,7 +133,7 @@ class _ExprParser:
             raise DomainError(f"expected a number in expression, found {tok!r}")
         return quiver.parse_number(tok, int)
 
-    def parse(self) -> coha.SymPoly:
+    def parse(self) -> Poly:
         result = self.expr()
         if self.peek() is not None:
             raise DomainError(f"trailing tokens in expression: {self.peek()!r}")
@@ -149,7 +151,7 @@ class _ExprParser:
         left = self.factor()
         while self.peek() == "*":
             self.take("*")
-            left = coha.cup_product(left, self.factor())
+            left = left * self.factor()
         return left
 
     def factor(self):
@@ -159,7 +161,7 @@ class _ExprParser:
         base = self.atom()
         while self.peek() == "^":
             self.take("^")
-            base = coha.SymPoly(self.fq, self.d, base.poly ** self.natural())
+            base = base ** self.natural()
         return base
 
     def atom(self):
@@ -179,11 +181,13 @@ class _ExprParser:
                 self.take("]")
             else:
                 i, k = 0, 1
-            return coha.variable(self.fq, self.d, i, k)
+            if not (i < len(self.d) and 1 <= k <= self.d[i]):
+                raise DomainError(f"no variable x[{i},{k}] in degree {self.d}")
+            return Poly.variable(sum(self.d), sum(self.d[:i]) + k - 1)
         if tok is None:
             raise DomainError("expression ends too early")
         if tok.isdigit():
-            return coha.unit(self.fq, self.d).scale(self.natural())
+            return Poly.const(sum(self.d), self.natural())
         raise DomainError(f"unexpected token {tok!r} in expression")
 
 
@@ -196,7 +200,7 @@ def parse_element(fq, text: str) -> coha.SymPoly:
     if not head.startswith("d="):
         raise DomainError("element must start with d=<dims>")
     d = _parse_dim(head[2:], fq)
-    return _ExprParser(fq, d, _tokenize(body)).parse()
+    return coha.SymPoly.from_poly(fq, d, _ExprParser(d, _tokenize(body)).parse())
 
 
 # -- subcommand implementations ---------------------------------------------------
@@ -290,11 +294,7 @@ def cmd_shuffle(args) -> int:
     right = parse_element(fq, args.right)
     result = coha.shuffle_product(left, right)
     if args.json:
-        print(
-            json.dumps(
-                {"dim": list(result.d), "poly": result.format()}, sort_keys=True
-            )
-        )
+        print(json.dumps({"dim": list(result.d), "poly": result.format()}, sort_keys=True))
     else:
         print(f"d={','.join(str(x) for x in result.d)}: {result.format()}")
     return 0
@@ -308,20 +308,10 @@ def cmd_verify_basis(args) -> int:
     top = coha.top_degree(fq, d)
     max_degree = args.max_degree if args.max_degree is not None else max(top + 1, 0)
     rows = []
-    all_ok = True
     for n in range(max_degree + 1):
-        r = coha.verify_basis(fq, d, n)
-        all_ok = all_ok and r.independent
-        rows.append(
-            {
-                "degree": n,
-                "h_dim": r.h_dim,
-                "kernel_dim": r.kernel_dim,
-                "quotient_dim": r.quotient_dim,
-                "partition_count": r.partition_count,
-                "independent": r.independent,
-            }
-        )
+        row = asdict(coha.verify_basis(fq, d, n))
+        del row["d"], row["n"]
+        rows.append({"degree": n, **row})
     _emit(
         args,
         rows,
@@ -331,7 +321,7 @@ def cmd_verify_basis(args) -> int:
             f"{'PASS' if r['independent'] else 'FAIL'}"
         ),
     )
-    return 0 if all_ok else 1
+    return 0 if all(r["independent"] for r in rows) else 1
 
 
 def cmd_charts(args) -> int:

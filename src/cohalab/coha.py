@@ -1,29 +1,38 @@
 """Shuffle algebra over exact rationals and its framed module quotients.
 
 Graded pieces are block-symmetric polynomials: one variable block per
-vertex, invariant under permutations inside each block.  The product is a
+vertex, invariant under permutations inside each block.  An element is
+stored as its monomial-symmetric coordinates, the ones the kernel slices
+consume, so symmetry holds by construction.  Cup products multiply
+monomial-symmetric functions block by block.  The shuffle product is a
 shuffle sum whose kernel factors carry first-order poles on loopless
-vertices.  It is computed in monomial-symmetric coordinates, the ones the
-kernel slices consume: one pass over the unshuffled core sums each orbit,
-and loopless blocks go through Schur coordinates (the bialternant formula
-absorbs the Vandermonde denominator) and Kostka numbers.  Nothing is
-permuted per shuffle, and the only division is the one by d! e! per
+vertices; it expands its factors into polynomials only to build the
+unshuffled core, and one pass over the core sums each orbit back into
+coordinates, loopless blocks through Schur coordinates (the bialternant
+formula absorbs the Vandermonde denominator) and Kostka numbers.  Nothing
+is permuted per shuffle, and the only division is the one by d! e! per
 coordinate.  Integer inputs stay int throughout.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, permutations, product
+from itertools import accumulate, chain, combinations, permutations, product
 from math import comb, factorial, prod
+from operator import add, mul
+from typing import Mapping
 
 from .linalg import rref
 from .partitions import MultiPartition, enumerate_partitions, satisfies_phi
-from .polys import Coeff, Poly, divide
-from .quiver import DimVector, FramedQuiver, check_dim, euler_form, unit_vector
+from .polys import Coeff, Poly, divide, normal
+from .quiver import DimVector, FramedQuiver, Quiver, check_dim, euler_form, unit_vector
 from .series import motivic_class
+
+Signature = tuple[tuple[int, ...], ...]
+Expansion = tuple[tuple[tuple[int, ...], int], ...]  # (partition, coefficient) pairs
 
 
 class CohaError(ValueError):
@@ -31,72 +40,80 @@ class CohaError(ValueError):
 
 
 def block_offsets(d: DimVector) -> list[int]:
-    out = [0]
-    for x in d:
-        out.append(out[-1] + x)
-    return out[:-1]
+    return list(accumulate(d, initial=0))[:-1]
 
 
 def var_name(d: DimVector, index: int) -> str:
     offs = block_offsets(d)
-    for i in reversed(range(len(d))):
-        if index >= offs[i]:
-            return f"x[{i},{index - offs[i] + 1}]"
-    raise IndexError(index)
+    i = bisect_right(offs, index) - 1  # the last block starting at or before index
+    return f"x[{i},{index - offs[i] + 1}]"
+
+
+def _size(sig: Signature) -> int:
+    return sum(map(sum, sig))
 
 
 @dataclass(frozen=True)
 class SymPoly:
-    """Element of one graded piece: dimension vector plus polynomial.
+    """Element of one graded piece: dimension vector plus coordinates.
 
-    The polynomial lives in sum(d) variables, blocked per vertex, and must
-    be invariant under permutations within each block.
+    coords maps a signature, one weakly decreasing exponent tuple of length
+    d_i per vertex, to the coefficient of its orbit sum m_sig; zero
+    coefficients are never stored, so equal elements have equal coords.
+    poly expands the orbits into a polynomial in sum(d) variables, blocked
+    per vertex.
     """
 
     fq: FramedQuiver
     d: DimVector
-    poly: Poly
+    coords: Mapping[Signature, Coeff]
 
-    def __post_init__(self):
-        if self.poly.nvars != sum(self.d):
-            raise CohaError("variable count does not match the dimension vector")
+    @classmethod
+    def from_poly(cls, fq: FramedQuiver, d: DimVector, poly: Poly) -> "SymPoly":
+        """The element whose polynomial is poly.  poly is block-symmetric iff
+        every term has its orbit's coefficient and no orbit is partial."""
+        offs = block_offsets(d)
+        coords: dict[Signature, Coeff] = {}
+        for exp, c in poly.terms.items():
+            sig = tuple(tuple(sorted(exp[o : o + di], reverse=True)) for o, di in zip(offs, d))
+            if coords.setdefault(sig, c) != c:
+                break
+        else:
+            if len(poly.terms) == sum(len(_orbit(sig)) for sig in coords):
+                return cls(fq, d, coords)
+        raise CohaError("shuffle factors must be symmetric within each vertex block")
+
+    @property
+    def poly(self) -> Poly:
+        terms = {exp: c for sig, c in self.coords.items() for exp in _orbit(sig)}
+        return Poly(sum(self.d), terms)
 
     def degree(self) -> int:
-        return self.poly.degree()
+        """Total degree; -1 for the zero element."""
+        return max(map(_size, self.coords), default=-1)
 
     def is_zero(self) -> bool:
-        return self.poly.is_zero()
+        return not self.coords
 
     def is_homogeneous(self) -> bool:
-        degrees = {sum(exp) for exp in self.poly.terms}
-        return len(degrees) <= 1
-
-    def is_symmetric(self) -> bool:
-        """Check invariance under the adjacent transpositions of each block."""
-        offs = block_offsets(self.d)
-        n = self.poly.nvars
-        for i, di in enumerate(self.d):
-            for k in range(di - 1):
-                perm = list(range(n))
-                a, b = offs[i] + k, offs[i] + k + 1
-                perm[a], perm[b] = perm[b], perm[a]
-                if self.poly.permute_vars(perm) != self.poly:
-                    return False
-        return True
+        return len(set(map(_size, self.coords))) <= 1
 
     def __add__(self, other: "SymPoly") -> "SymPoly":
         self._check_compatible(other)
-        return SymPoly(self.fq, self.d, self.poly + other.poly)
+        out = dict(self.coords)
+        for sig, c in other.coords.items():
+            out[sig] = out.get(sig, 0) + c
+        return SymPoly(self.fq, self.d, {sig: c for sig, c in out.items() if c})
 
     def __sub__(self, other: "SymPoly") -> "SymPoly":
-        self._check_compatible(other)
-        return SymPoly(self.fq, self.d, self.poly - other.poly)
+        return self + (-other)
 
     def __neg__(self) -> "SymPoly":
-        return SymPoly(self.fq, self.d, -self.poly)
+        return self.scale(-1)
 
     def scale(self, c) -> "SymPoly":
-        return SymPoly(self.fq, self.d, self.poly.scale(c))
+        c = normal(c)
+        return SymPoly(self.fq, self.d, {sig: c * v for sig, v in self.coords.items() if c})
 
     def _check_compatible(self, other: "SymPoly"):
         if self.fq != other.fq:
@@ -111,18 +128,16 @@ class SymPoly:
         return f"SymPoly(d={self.d}, {self.format()})"
 
 
+def monomial_symmetric(fq: FramedQuiver, d: DimVector, sig: Signature) -> SymPoly:
+    """The orbit sum m_sig: the distinct monomials in the block-permutation orbit of sig."""
+    d = check_dim(fq.base, d)
+    if tuple(map(len, sig)) != d:
+        raise CohaError("signature does not match the dimension vector")
+    return SymPoly(fq, d, {tuple(tuple(sorted(lam, reverse=True)) for lam in sig): 1})
+
+
 def unit(fq: FramedQuiver, d: DimVector) -> SymPoly:
-    d = check_dim(fq.base, d)
-    return SymPoly(fq, d, Poly.const(sum(d), 1))
-
-
-def variable(fq: FramedQuiver, d: DimVector, i: int, k: int) -> SymPoly:
-    """x_{i,k}; note this is only symmetric when the block has one variable."""
-    d = check_dim(fq.base, d)
-    offs = block_offsets(d)
-    if not (0 <= i < len(d) and 1 <= k <= d[i]):
-        raise CohaError(f"no variable x[{i},{k}] in degree {d}")
-    return SymPoly(fq, d, Poly.variable(sum(d), offs[i] + k - 1))
+    return monomial_symmetric(fq, d, tuple((0,) * di for di in d))
 
 
 def elementary(fq: FramedQuiver, d: DimVector, i: int, k: int) -> SymPoly:
@@ -130,16 +145,9 @@ def elementary(fq: FramedQuiver, d: DimVector, i: int, k: int) -> SymPoly:
     d = check_dim(fq.base, d)
     if k < 0 or k > d[i]:
         raise CohaError(f"e_{k} undefined for a block of size {d[i]}")
-    sig = tuple(
-        (1,) * k + (0,) * (dj - k) if j == i else (0,) * dj for j, dj in enumerate(d)
-    )
-    return monomial_symmetric(fq, d, sig)
-
-
-def cup_product(f: SymPoly, g: SymPoly) -> SymPoly:
-    """Ordinary polynomial product within one graded piece."""
-    f._check_compatible(g)
-    return SymPoly(f.fq, f.d, f.poly * g.poly)
+    sig = [(0,) * dj for dj in d]
+    sig[i] = (1,) * k + (0,) * (d[i] - k)
+    return monomial_symmetric(fq, d, tuple(sig))
 
 
 def framing_idempotent(fq: FramedQuiver, d: DimVector) -> SymPoly:
@@ -148,12 +156,73 @@ def framing_idempotent(fq: FramedQuiver, d: DimVector) -> SymPoly:
     return monomial_symmetric(fq, d, tuple((w,) * di for w, di in zip(fq.framing, d)))
 
 
+def cup_product(f: SymPoly, g: SymPoly) -> SymPoly:
+    """Ordinary polynomial product within one graded piece, block by block
+    in monomial-symmetric coordinates."""
+    f._check_compatible(g)
+    out: dict[Signature, Coeff] = {}
+    for a, ca in f.coords.items():
+        for b, cb in g.coords.items():
+            for combo in product(*map(_block_product, a, b)):
+                sig = tuple(gam for gam, _ in combo)
+                out[sig] = out.get(sig, 0) + ca * cb * prod(k for _, k in combo)
+    return SymPoly(f.fq, f.d, {sig: c for sig, c in out.items() if c})
+
+
 @lru_cache(maxsize=4096)
+def _block_product(a: tuple[int, ...], b: tuple[int, ...]) -> Expansion:
+    """Pairs (gam, N) with m_a m_b = sum N m_gam in len(a) variables.
+
+    With a fixed and b running over its orbit (the smaller of the two
+    orbits, as the product commutes), the sum a + b sorts to gam count
+    times; each of the |orbit a| choices of a sees the same, so
+    N |orbit gam| = count |orbit a|, that is N = count |Stab gam| / |Stab a|.
+    """
+    if _stabiliser_order(a) > _stabiliser_order(b):
+        a, b = b, a
+    counts = Counter(tuple(sorted(map(add, a, p), reverse=True)) for p in _orbit((b,)))
+    sa = _stabiliser_order(a)
+    return tuple((gam, n * _stabiliser_order(gam) // sa) for gam, n in counts.items())
+
+
 def _vandermonde(nvars: int, positions: tuple[int, ...]) -> Poly:
     out = Poly.const(nvars, 1)
     for a, b in combinations(positions, 2):
         out = out * (Poly.variable(nvars, b) - Poly.variable(nvars, a))
     return out
+
+
+@lru_cache(maxsize=4096)
+def _kernel_factor(q: Quiver, d: DimVector, e: DimVector) -> tuple[Poly, tuple[bool, ...]]:
+    """The factor of the shuffle core that f, g leave alone; the loopless blocks of d+e."""
+    t = tuple(a + b for a, b in zip(d, e))
+    n = sum(t)
+    offs = block_offsets(t)
+    nv = q.vertex_count
+    units = [unit_vector(q, i) for i in range(nv)]
+    chi = [[euler_form(q, units[i], units[j]) for j in range(nv)] for i in range(nv)]
+    out = Poly.const(n, 1)
+
+    # non-negative kernel exponents multiply into the numerator
+    for i in range(nv):
+        for j in range(nv):
+            power = -chi[i][j]
+            if power <= 0:
+                continue
+            for r in range(d[i]):
+                for s in range(e[j]):
+                    x, y = (Poly.variable(n, k) for k in (offs[i] + r, offs[j] + d[j] + s))
+                    out = out * (y - x) ** power
+
+    loopless = tuple(chi[i][i] == 1 and t[i] > 0 for i in range(nv))
+
+    # the complementary Vandermonde of each shuffle is the shuffled image of
+    # the block Vandermondes, so it folds into the core once and for all
+    for i in range(nv):
+        if loopless[i]:
+            out = out * _vandermonde(n, tuple(range(offs[i], offs[i] + d[i])))
+            out = out * _vandermonde(n, tuple(range(offs[i] + d[i], offs[i] + t[i])))
+    return out, loopless
 
 
 def shuffle_product(f: SymPoly, g: SymPoly) -> SymPoly:
@@ -175,10 +244,7 @@ def shuffle_product(f: SymPoly, g: SymPoly) -> SymPoly:
     """
     if f.fq != g.fq:
         raise CohaError("elements live over different quivers")
-    if not (f.is_symmetric() and g.is_symmetric()):
-        raise CohaError("shuffle factors must be symmetric within each vertex block")
-    fq = f.fq
-    q = fq.base
+    q = f.fq.base
     d, e = f.d, g.d
     t = tuple(a + b for a, b in zip(d, e))
     n = sum(t)
@@ -188,32 +254,8 @@ def shuffle_product(f: SymPoly, g: SymPoly) -> SymPoly:
     # embed f (block prefix) and g (block suffix) in the target ring
     f_pos = [offs[i] + r for i in range(nv) for r in range(d[i])]
     g_pos = [offs[i] + d[i] + s for i in range(nv) for s in range(e[i])]
-    core = f.poly.embed(n, f_pos) * g.poly.embed(n, g_pos)
-
-    units = [unit_vector(q, i) for i in range(nv)]
-    chi = [[euler_form(q, units[i], units[j]) for j in range(nv)] for i in range(nv)]
-
-    # non-negative kernel exponents multiply into the numerator
-    for i in range(nv):
-        for j in range(nv):
-            power = -chi[i][j]
-            if power <= 0:
-                continue
-            for r in range(d[i]):
-                for s in range(e[j]):
-                    factor = Poly.variable(n, offs[j] + d[j] + s) - Poly.variable(
-                        n, offs[i] + r
-                    )
-                    core = core * factor**power
-
-    loopless = [chi[i][i] == 1 and t[i] > 0 for i in range(nv)]
-
-    # the complementary Vandermonde of each shuffle is the shuffled image of
-    # the block Vandermondes, so it folds into the core once and for all
-    for i in range(nv):
-        if loopless[i]:
-            core = core * _vandermonde(n, tuple(range(offs[i], offs[i] + d[i])))
-            core = core * _vandermonde(n, tuple(range(offs[i] + d[i], offs[i] + t[i])))
+    kernel, loopless = _kernel_factor(q, d, e)
+    core = f.poly.embed(n, f_pos) * g.poly.embed(n, g_pos) * kernel
 
     buckets: dict[Signature, Coeff] = {}
     for exp, c in core.terms.items():
@@ -243,10 +285,9 @@ def shuffle_product(f: SymPoly, g: SymPoly) -> SymPoly:
     sign = (-1) ** sum(comb(t[i], 2) for i in range(nv) if loopless[i])
     denominator = sign * prod(factorial(x) for x in d + e)
     scaled = {sig: divide(c, denominator) for sig, c in coords.items() if c}
-    terms = {exp: c for sig, c in scaled.items() for exp in _orbit(sig)}
 
-    result = SymPoly(fq, t, Poly(n, terms))
-    if not result.is_zero():
+    result = SymPoly(f.fq, t, scaled)
+    if scaled:
         expected = f.degree() + g.degree() - euler_form(q, d, e)
         homogeneous = f.is_homogeneous() and g.is_homogeneous()
         if result.degree() > expected or (homogeneous and result.degree() != expected):
@@ -260,7 +301,7 @@ def _stabiliser_order(lam: tuple[int, ...]) -> int:
 
 
 @lru_cache(maxsize=4096)
-def _schur_to_monomial(lam: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+def _schur_to_monomial(lam: tuple[int, ...]) -> Expansion:
     """Pairs (mu, K_{lam,mu}) with s_lam = sum K_{lam,mu} m_mu in len(lam) variables."""
     pad = (0,) * len(lam)
     mus = (mu + pad[len(mu) :] for mu in _partitions_bounded_length(sum(lam), len(lam)))
@@ -295,9 +336,6 @@ def _partitions_bounded_length(total: int, max_parts: int, cap: int = 0):
                 yield (p,) + rest
 
 
-Signature = tuple[tuple[int, ...], ...]
-
-
 def slice_basis(d: DimVector, n: int) -> list[Signature]:
     """Monomial-symmetric basis labels of the degree-n piece over d.
 
@@ -320,30 +358,22 @@ def slice_basis(d: DimVector, n: int) -> list[Signature]:
     return sorted(rec(0, n))
 
 
-def _orbit(sig: Signature):
+@lru_cache(maxsize=4096)
+def _orbit(sig: Signature) -> tuple[tuple[int, ...], ...]:
     """The distinct exponents in the block-permutation orbit of sig."""
-    for combo in product(*(set(permutations(lam)) for lam in sig)):
-        yield tuple(chain.from_iterable(combo))
+    blocks = product(*(set(permutations(lam)) for lam in sig))
+    return tuple(tuple(chain.from_iterable(combo)) for combo in blocks)
 
 
-def monomial_symmetric(fq: FramedQuiver, d: DimVector, sig: Signature) -> SymPoly:
-    """Sum of the distinct monomials in the block-permutation orbit of sig."""
-    return SymPoly(fq, d, Poly(sum(d), dict.fromkeys(_orbit(sig), 1)))
-
-
-def coordinates(p: SymPoly, basis: list[Signature]) -> tuple[Coeff, ...]:
-    """Coordinates of a symmetric element in the monomial-symmetric basis."""
-    offs = block_offsets(p.d)
-    index = {sig: j for j, sig in enumerate(basis)}
-    out = [0] * len(basis)
-    for exp, c in p.poly.terms.items():
-        sig = tuple(exp[o : o + di] for o, di in zip(offs, p.d))
-        # the orbit representative is the term whose blocks are sorted
-        if all(list(lam) == sorted(lam, reverse=True) for lam in sig):
-            if sig not in index:
-                raise CohaError("coordinate outside the declared graded slice")
-            out[index[sig]] = c
-    return tuple(out)
+def _row(p: SymPoly, index: dict[Signature, int]) -> tuple[Coeff, ...]:
+    """The coordinates of p over the slice basis whose positions index holds."""
+    row = [0] * len(index)
+    for sig, c in p.coords.items():
+        j = index.get(sig)
+        if j is None:
+            raise CohaError("coordinate outside the declared graded slice")
+        row[j] = c
+    return tuple(row)
 
 
 @dataclass(frozen=True)
@@ -379,45 +409,41 @@ def kernel_graded_piece(fq: FramedQuiver, d: DimVector, n: int) -> GradedSubspac
     if n < 0:
         raise CohaError("negative degree")
     basis = slice_basis(d, n)
+    index = {sig: j for j, sig in enumerate(basis)}
     rows: list[tuple[Coeff, ...]] = []
     for dprime in product(*(range(x + 1) for x in d)):
         if all(x == 0 for x in dprime):
             continue
         rest = tuple(a - b for a, b in zip(d, dprime))
-        wd = sum(w * x for w, x in zip(fq.framing, dprime))
-        budget = n - wd + euler_form(fq.base, rest, dprime)
+        budget = n + euler_form(fq.base, rest, dprime) - sum(map(mul, fq.framing, dprime))
         if budget < 0:
             continue
-        ew = framing_idempotent(fq, dprime)
         for p in range(budget + 1):
-            q_deg = budget - p
             for sig_f in slice_basis(rest, p):
                 fpoly = monomial_symmetric(fq, rest, sig_f)
-                for sig_g in slice_basis(dprime, q_deg):
-                    gpoly = monomial_symmetric(fq, dprime, sig_g)
-                    gen = shuffle_product(fpoly, cup_product(ew, gpoly))
+                for sig_g in slice_basis(dprime, budget - p):
+                    # e_w cup m_sig is m_{sig + w}
+                    shifted = tuple(tuple(x + w for x in lam) for w, lam in zip(fq.framing, sig_g))
+                    gen = shuffle_product(fpoly, monomial_symmetric(fq, dprime, shifted))
                     if gen.is_zero():
                         continue
                     if gen.degree() != n:
                         raise AssertionError("kernel generator in the wrong degree")
-                    rows.append(coordinates(gen, basis))
+                    rows.append(_row(gen, index))
     return GradedSubspace(d, n, tuple(basis), tuple(rref(rows)))
 
 
 def tautological_monomial(fq: FramedQuiver, lam: MultiPartition) -> SymPoly:
-    """Product over vertices and k of e_k to the power lambda_k - lambda_{k+1}."""
+    """Product over vertices and k of e_k to the power lambda_k - lambda_{k+1},
+    multiplied in coordinates."""
     d = lam.shape()
     if not satisfies_phi(fq, d, lam):
         raise CohaError("partition does not label a cell")
     result = unit(fq, d)
     for i, parts in enumerate(lam.parts):
         for k in range(1, d[i] + 1):
-            nxt = parts[k] if k < d[i] else 0
-            power = parts[k - 1] - nxt
-            if power > 0:
-                factor = elementary(fq, d, i, k)
-                for _ in range(power):
-                    result = cup_product(result, factor)
+            for _ in range(parts[k - 1] - (parts[k] if k < d[i] else 0)):
+                result = cup_product(result, elementary(fq, d, i, k))
     return result
 
 
@@ -441,27 +467,14 @@ def verify_basis(fq: FramedQuiver, d: DimVector, n: int) -> BasisReport:
     """
     d = check_dim(fq.base, d)
     kernel = kernel_graded_piece(fq, d, n)
-    basis = list(kernel.basis)
-    h_dim = len(basis)
+    index = {sig: j for j, sig in enumerate(kernel.basis)}
+    h_dim = len(index)
     labels = [lam for lam in enumerate_partitions(fq, d) if lam.size == n]
-    taut_rows = [
-        coordinates(tautological_monomial(fq, lam), basis) for lam in labels
-    ]
+    taut_rows = [_row(tautological_monomial(fq, lam), index) for lam in labels]
     stacked = rref(list(kernel.rows) + taut_rows)
     quotient_dim = h_dim - kernel.dim
-    independent = (
-        quotient_dim == len(labels)
-        and len(stacked) == kernel.dim + len(labels)
-    )
-    return BasisReport(
-        d=d,
-        n=n,
-        h_dim=h_dim,
-        kernel_dim=kernel.dim,
-        quotient_dim=quotient_dim,
-        partition_count=len(labels),
-        independent=independent,
-    )
+    independent = quotient_dim == len(labels) and len(stacked) == kernel.dim + len(labels)
+    return BasisReport(d, n, h_dim, kernel.dim, quotient_dim, len(labels), independent)
 
 
 def top_degree(fq: FramedQuiver, d: DimVector) -> int:

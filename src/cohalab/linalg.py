@@ -20,11 +20,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-Vector = tuple[Fraction, ...]
+from .polys import Coeff, normal
+
+Vector = tuple[Coeff, ...]
 
 
 def vec(entries) -> Vector:
-    return tuple(Fraction(e) for e in entries)
+    """The entries as exact numbers: int where integral, else Fraction."""
+    return tuple(map(normal, entries))
 
 
 def _integral(v) -> list[int]:

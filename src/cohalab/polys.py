@@ -23,7 +23,7 @@ ZERO = 0
 ONE = 1
 
 
-def _normal(c) -> Coeff:
+def normal(c) -> Coeff:
     """c as an int when it is integral, else as a Fraction."""
     if type(c) is int:
         return c
@@ -37,7 +37,7 @@ def divide(a: Coeff, b: Coeff) -> Coeff:
         q, r = divmod(a, b)
         if not r:
             return q
-    return _normal(Fraction(a, b))
+    return normal(Fraction(a, b))
 
 
 class Poly:
@@ -57,7 +57,7 @@ class Poly:
 
     @classmethod
     def const(cls, nvars: int, c) -> "Poly":
-        c = _normal(c)
+        c = normal(c)
         if c == 0:
             return cls(nvars)
         return cls(nvars, {(0,) * nvars: c})
@@ -70,7 +70,7 @@ class Poly:
 
     @classmethod
     def monomial(cls, nvars: int, exp: Exponent, c=1) -> "Poly":
-        c = _normal(c)
+        c = normal(c)
         if c == 0:
             return cls(nvars)
         if len(exp) != nvars:
@@ -145,7 +145,7 @@ class Poly:
         return Poly(self.nvars, out)
 
     def scale(self, c) -> "Poly":
-        c = _normal(c)
+        c = normal(c)
         if c == 0:
             return Poly(self.nvars)
         return Poly(self.nvars, {exp: c * v for exp, v in self.terms.items()})

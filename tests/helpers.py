@@ -1,5 +1,6 @@
 """Polynomial and path helpers that only the tests use, and the earlier
-implementations of the cells and linalg layers kept as oracles."""
+implementations of the cells, linalg and shuffle algebra layers kept as
+oracles."""
 
 from __future__ import annotations
 
@@ -9,11 +10,12 @@ from typing import Mapping
 
 from cohalab.cells import CellError, NumericRep, Subtree, critical_set, make_subtree, udim
 from cohalab.checks import framed_a2, framed_loops, vertex_only
+from cohalab.coha import CohaError, SymPoly, _vandermonde, block_offsets
 from cohalab.linalg import Span
-from cohalab.partitions import MultiPartition
+from cohalab.partitions import MultiPartition, satisfies_phi
 from cohalab.paths import ROOT, WSHORTLEX, Path, PathOrder, children, path_target
 from cohalab.polys import Poly, det_bareiss
-from cohalab.quiver import FramedQuiver, Quiver
+from cohalab.quiver import FramedQuiver, Quiver, euler_form, unit_vector
 
 
 def substitute(p: Poly, values: Mapping[int, Poly]) -> Poly:
@@ -190,6 +192,176 @@ def partition_to_tree_by_nominees(
         )
     tree = make_subtree(fq, order, chain)
     return tree
+
+
+# -- oracles: the shuffle algebra on expanded polynomials --------------------------
+
+
+# quivers, dimension vectors and the largest total dimension on which the
+# shuffle product is compared with the per-shuffle oracle
+SHUFFLE_FIXTURES = [
+    ("point-w1", vertex_only(1), [(d,) for d in range(4)], 6),
+    ("point-w3", vertex_only(3), [(d,) for d in range(4)], 6),
+    ("one-loop", framed_loops(1, 1), [(d,) for d in range(4)], 6),
+    ("two-loop", framed_loops(2, 1), [(d,) for d in range(4)], 5),
+    ("three-loop", framed_loops(3, 1), [(d,) for d in range(3)], 4),
+    ("a2", framed_a2(2), [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (0, 2)], 4),
+    (
+        "looped-and-loopless",
+        FramedQuiver(Quiver.make(2, [("a", 0, 1), ("b", 1, 0), ("l", 0, 0)]), (1, 0)),
+        [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1)],
+        4,
+    ),
+    (
+        "double-arrow",
+        FramedQuiver(Quiver.make(2, [("a", 0, 1), ("c", 0, 1)]), (1, 0)),
+        [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1)],
+        4,
+    ),
+]
+
+
+def is_block_symmetric(p: Poly, d: tuple[int, ...]) -> bool:
+    """Check invariance under the adjacent transpositions of each block."""
+    offs = block_offsets(d)
+    for i, di in enumerate(d):
+        for k in range(di - 1):
+            perm = list(range(p.nvars))
+            a, b = offs[i] + k, offs[i] + k + 1
+            perm[a], perm[b] = perm[b], perm[a]
+            if p.permute_vars(perm) != p:
+                return False
+    return True
+
+
+def per_shuffle_product(f: SymPoly, g: SymPoly) -> Poly:
+    """The shuffle product of graded pieces over d and e, in d+e variables.
+
+    Each shuffle term permutes the unshuffled product of f, g and the
+    pair-interaction kernel into place; loopless vertices contribute a
+    first-order pole per cross pair, cleared by multiplying every term by
+    its complementary Vandermonde factor and dividing the full sum by the
+    block Vandermonde at the end.  The division must be exact.
+    """
+    if f.fq != g.fq:
+        raise CohaError("elements live over different quivers")
+    q = f.fq.base
+    d, e = f.d, g.d
+    t = tuple(a + b for a, b in zip(d, e))
+    n = sum(t)
+    offs = block_offsets(t)
+    nv = q.vertex_count
+
+    # embed f (block prefix) and g (block suffix) in the target ring
+    f_pos = [offs[i] + r for i in range(nv) for r in range(d[i])]
+    g_pos = [offs[i] + d[i] + s for i in range(nv) for s in range(e[i])]
+    fp, gp = f.poly, g.poly
+    core = fp.embed(n, f_pos) * gp.embed(n, g_pos)
+
+    units = [unit_vector(q, i) for i in range(nv)]
+    chi = [[euler_form(q, units[i], units[j]) for j in range(nv)] for i in range(nv)]
+
+    # non-negative kernel exponents multiply into the numerator
+    for i in range(nv):
+        for j in range(nv):
+            power = -chi[i][j]
+            if power <= 0:
+                continue
+            for r in range(d[i]):
+                for s in range(e[j]):
+                    factor = Poly.variable(n, offs[j] + d[j] + s) - Poly.variable(
+                        n, offs[i] + r
+                    )
+                    core = core * factor**power
+
+    loopless = [i for i in range(nv) if chi[i][i] == 1 and t[i] > 0]
+
+    # the complementary Vandermonde of each shuffle is the shuffled image of
+    # the block Vandermondes, so it folds into the core once and for all
+    for i in loopless:
+        core = core * _vandermonde(n, tuple(offs[i] + p for p in range(d[i])))
+        core = core * _vandermonde(n, tuple(offs[i] + d[i] + s for s in range(e[i])))
+
+    total = Poly.zero(n)
+    block_choices = [combinations(range(t[i]), d[i]) for i in range(nv)]
+    for choice in product(*block_choices):
+        perm = list(range(n))
+        sign = 1
+        for i in range(nv):
+            a_set = choice[i]
+            in_a = set(a_set)
+            b_set = [p for p in range(t[i]) if p not in in_a]
+            for p, target_slot in enumerate(a_set):
+                perm[offs[i] + p] = offs[i] + target_slot
+            for s, target_slot in enumerate(b_set):
+                perm[offs[i] + d[i] + s] = offs[i] + target_slot
+            if i in loopless:
+                inv = sum(1 for a in a_set for b in b_set if b < a)
+                if inv % 2:
+                    sign = -sign
+        term = core.permute_vars(perm)
+        total = total + (term if sign == 1 else -term)
+
+    if loopless:
+        denom = Poly.const(n, 1)
+        for i in loopless:
+            denom = denom * _vandermonde(n, tuple(offs[i] + p for p in range(t[i])))
+        total = total.exact_div(denom)
+
+    if not is_block_symmetric(total, t):
+        raise AssertionError("shuffle product broke block symmetry")
+    if not total.is_zero():
+        expected = fp.degree() + gp.degree() - euler_form(q, d, e)
+        homogeneous = all(
+            len({sum(exp) for exp in p.terms}) <= 1 for p in (fp, gp)
+        )
+        if total.degree() > expected or (homogeneous and total.degree() != expected):
+            raise AssertionError("shuffle product broke the degree law")
+    return total
+
+
+def poly_cup_product(f: SymPoly, g: SymPoly) -> Poly:
+    """The cup product as a product of expanded polynomials."""
+    return f.poly * g.poly
+
+
+def poly_coordinates(p: Poly, d: tuple[int, ...], basis) -> tuple:
+    """Coordinates of a symmetric polynomial in the monomial-symmetric basis,
+    read off the terms whose blocks are sorted (the orbit representatives)."""
+    offs = block_offsets(d)
+    index = {sig: j for j, sig in enumerate(basis)}
+    out = [0] * len(basis)
+    for exp, c in p.terms.items():
+        sig = tuple(exp[o : o + di] for o, di in zip(offs, d))
+        if all(list(lam) == sorted(lam, reverse=True) for lam in sig):
+            if sig not in index:
+                raise CohaError("coordinate outside the declared graded slice")
+            out[index[sig]] = c
+    return tuple(out)
+
+
+def poly_elementary(d: tuple[int, ...], i: int, k: int) -> Poly:
+    """e_k of the block at vertex i, one monomial per k-subset of the block."""
+    start, n = block_offsets(d)[i], sum(d)
+    terms = {}
+    for subset in combinations(range(start, start + d[i]), k):
+        terms[tuple(int(p in subset) for p in range(n))] = 1
+    return Poly(n, terms)
+
+
+def poly_tautological_monomial(fq: FramedQuiver, lam: MultiPartition) -> Poly:
+    """Product over vertices and k of e_k^(lambda_k - lambda_{k+1}), one
+    expanded polynomial factor at a time."""
+    d = lam.shape()
+    if not satisfies_phi(fq, d, lam):
+        raise CohaError("partition does not label a cell")
+    result = Poly.const(sum(d), 1)
+    for i, parts in enumerate(lam.parts):
+        for k in range(1, d[i] + 1):
+            power = parts[k - 1] - (parts[k] if k < d[i] else 0)
+            for _ in range(power):
+                result = result * poly_elementary(d, i, k)
+    return result
 
 
 def oracle_fixtures() -> list[tuple[str, FramedQuiver, list[tuple[int, ...]]]]:

@@ -29,7 +29,6 @@ from cohalab import (
     monomial_symmetric,
     tree_to_partition,
     unit,
-    variable,
 )
 from cohalab.checks import CHECKS, DEFAULT_SEED
 from cohalab.paths import PathOrder
@@ -200,7 +199,7 @@ def test_criterion_9_shuffle_properties():
         # exterior vanishing and the sign pair on the no-arrow quiver
         point = vertex_only(1)
         one = unit(point, (1,))
-        x = variable(point, (1,), 0, 1)
+        x = monomial_symmetric(point, (1,), ((1,),))
         assert shuffle_product(one, one).is_zero()
         assert shuffle_product(x, one).poly.const_value() == -1
         assert shuffle_product(one, x).poly.const_value() == 1

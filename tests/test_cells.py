@@ -326,6 +326,22 @@ def test_parse_rep_rationals(two_loop):
     assert m.path_vector(aqf) == (Fraction(7, 2),)
 
 
+def test_int_rep_has_int_path_vectors(two_loop, shortlex):
+    # integral entries stay int from the matrices through every path vector
+    # and into the elimination; rep-file p/q entries stay Fraction
+    rng = Random(11)
+    for d in (1, 2, 3, 4):
+        m = random_stable_rep(two_loop, (d,), rng)
+        assert all(type(x) is int for mat in m.matrices for row in mat for x in row)
+        for s in enumerate_trees(two_loop, (d,), shortlex):
+            vectors = [m.path_vector(u) for u in s.nonroot]
+            assert all(type(x) is int for v in vectors for x in v)
+            assert all(type(x) is int for row in rref(vectors) for x in row)
+    assert m.path_vector(()) == (1,)
+    parsed = parse_rep_file(two_loop, "rep 1\nmatrix a\n1/2\nmatrix b\n3\nframing 0 1\n1\n")
+    assert [type(mat[0][0]) for mat in parsed.matrices] == [int, Fraction, int]
+
+
 def test_udim_of_parsed_tree(two_loop, shortlex):
     s = parse_tree(two_loop, shortlex, "f,af,bf")
     assert udim(two_loop, s) == (3,)

@@ -1,13 +1,14 @@
 import json
-from fractions import Fraction
+from operator import add
 from random import Random
 
 import pytest
 
 from cohalab.cli import parse_element, run
-from cohalab.coha import SymPoly
+from cohalab.coha import CohaError, SymPoly, slice_basis, var_name
 from cohalab.polys import Poly
-from cohalab.quiver import parse_quiver_file
+from cohalab.quiver import parse_quiver_file, serialize_quiver_file
+from helpers import SHUFFLE_FIXTURES, per_shuffle_product
 
 TWO_LOOP_Q = "vertices 1\narrow a 0 0\narrow b 0 0\nframing 1\nframenames f\n"
 POINT_Q = "vertices 1\nframing 1\nframenames f\n"
@@ -118,7 +119,7 @@ def test_shuffle_point(point_file, capsys):
 def test_shuffle_expression_grammar(point_file):
     fq = parse_quiver_file(POINT_Q)
     p = parse_element(fq, "d=2:x[0,1]*x[0,2] + 2*x[0,1]^2 + 2*x[0,2]^2 - 3")
-    assert p.is_symmetric()
+    assert p.coords == {((1, 1),): 1, ((2, 0),): 2, ((0, 0),): -3}
     assert p.degree() == 2
     assert parse_element(fq, "d=1:x^1000000").degree() == 1000000
     # unary minus binds looser than ^
@@ -130,19 +131,81 @@ def test_shuffle_expression_grammar(point_file):
     assert parse_element(fq, "d=2:2*-x[0,1]^2*x[0,2]^2") == y.scale(-2)
 
 
+def element_text(f: SymPoly) -> str:
+    return f"d={','.join(map(str, f.d))}:{f.format()}"
+
+
 def test_formatted_elements_parse_back():
     rng = Random(5)
     for text, dims in [(POINT_Q, [(0,), (1,), (2,), (3,)]), (A2_Q, [(1, 1), (2, 1)])]:
         fq = parse_quiver_file(text)
         for _ in range(100):
             d = rng.choice(dims)
-            terms = {
-                tuple(rng.randint(0, 3) for _ in range(sum(d))): Fraction(rng.choice([-3, -1, 1, 2]))
-                for _ in range(rng.randint(1, 4))
+            sigs = [sig for n in range(4) for sig in slice_basis(d, n)]
+            coords = {
+                rng.choice(sigs): rng.choice([-3, -1, 1, 2]) for _ in range(rng.randint(1, 4))
             }
-            element = SymPoly(fq, d, Poly(sum(d), terms))
+            element = SymPoly(fq, d, coords)
             head = "d=" + ",".join(map(str, d))
             assert parse_element(fq, f"{head}:{element.format()}") == element
+            # a polynomial that is not block-symmetric formats, but is refused
+            poly = element.poly + Poly.monomial(sum(d), tuple(range(sum(d))))
+            if max(d) > 1:
+                with pytest.raises(CohaError):
+                    parse_element(fq, f"{head}:{poly.format(lambda i: var_name(d, i))}")
+
+
+def random_int_element(fq, d, rng) -> SymPoly:
+    coords = {sig: c for n in range(3) for sig in slice_basis(d, n) if (c := rng.randint(-3, 3))}
+    return SymPoly(fq, d, coords)
+
+
+def test_shuffle_cli_matches_per_shuffle_oracle(tmp_path, capsys):
+    # every (d, e) pair of the oracle fixtures, text and --json
+    rng = Random(154)
+    cases = 0
+    for name, fq, dims, max_total in SHUFFLE_FIXTURES:
+        path = tmp_path / f"{name}.q"
+        path.write_text(serialize_quiver_file(fq), encoding="utf-8")
+        for d in dims:
+            for e in dims:
+                if sum(d) + sum(e) > max_total:
+                    continue
+                f, g = random_int_element(fq, d, rng), random_int_element(fq, e, rng)
+                t = tuple(map(add, d, e))
+                poly = per_shuffle_product(f, g).format(lambda i: var_name(t, i))
+                argv = ["shuffle", "-q", str(path), "--left", element_text(f)]
+                argv += ["--right", element_text(g)]
+                assert run(argv) == 0 and run(argv + ["--json"]) == 0
+                assert capsys.readouterr().out.splitlines() == [
+                    f"d={','.join(map(str, t))}: {poly}",
+                    json.dumps({"dim": list(t), "poly": poly}, sort_keys=True),
+                ]
+                cases += 1
+    assert cases == 154
+
+
+VERIFY_BASIS_TABLES = [  # quiver, --dim, rows (n, h, kernel, quotient, partitions)
+    (TWO_LOOP_Q, "5", [(1, 0, 1, 1), (1, 0, 1, 1), (2, 0, 2, 2), (3, 0, 3, 3), (5, 0, 5, 5),
+                       (7, 2, 5, 5), (10, 3, 7, 7), (13, 6, 7, 7), (18, 12, 6, 6),
+                       (23, 19, 4, 4), (30, 29, 1, 1), (37, 37, 0, 0)]),
+    ("vertices 1\nframing 7\n", "4", [(1, 0, 1, 1), (1, 0, 1, 1), (2, 0, 2, 2), (3, 0, 3, 3),
+                                       (5, 1, 4, 4), (6, 2, 4, 4), (9, 4, 5, 5), (11, 7, 4, 4),
+                                       (15, 11, 4, 4), (18, 15, 3, 3), (23, 21, 2, 2),
+                                       (27, 26, 1, 1), (34, 33, 1, 1), (39, 39, 0, 0)]),
+    ("vertices 2\narrow a 0 1\nframing 2 0\n", "2,2", [(1, 0, 1, 1), (2, 2, 0, 0)]),
+]
+
+
+@pytest.mark.parametrize("text, dim, rows", VERIFY_BASIS_TABLES, ids=["two-loop", "point-w7", "a2"])
+def test_verify_basis_tables(text, dim, rows, tmp_path, capsys):
+    path = tmp_path / "quiver.q"
+    path.write_text(text, encoding="utf-8")
+    assert run(["verify-basis", "-q", str(path), "--dim", dim]) == 0
+    assert lines_of(capsys) == [
+        f"n={n} h={h} kernel={k} quotient={q} partitions={p} PASS"
+        for n, (h, k, q, p) in enumerate(rows)
+    ]
 
 
 def test_classify_cli(two_loop_file, tmp_path, capsys):

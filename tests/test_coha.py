@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from random import Random
 
 import pytest
@@ -20,14 +20,19 @@ from cohalab import (
     tautological_monomial,
     top_degree,
     unit,
-    variable,
     verify_basis,
 )
-from cohalab.coha import SymPoly, _vandermonde, block_offsets, coordinates
+from cohalab.coha import SymPoly, _row
 from cohalab.linalg import rref
 from cohalab.polys import Poly
-from cohalab.quiver import FramedQuiver, Quiver, euler_form, unit_vector
 from conftest import framed_a2, framed_loops, vertex_only
+from helpers import (
+    SHUFFLE_FIXTURES,
+    per_shuffle_product,
+    poly_coordinates,
+    poly_cup_product,
+    poly_tautological_monomial,
+)
 
 
 def random_sympoly(fq, d, degree, rng):
@@ -45,106 +50,6 @@ def random_sympoly(fq, d, degree, rng):
 # -- shuffle product ---------------------------------------------------------------
 
 
-def per_shuffle_product(f: SymPoly, g: SymPoly) -> SymPoly:
-    """Oracle: the shuffle product of graded pieces over d and e, landing in d+e.
-
-    Each shuffle term permutes the unshuffled product of f, g and the
-    pair-interaction kernel into place; loopless vertices contribute a
-    first-order pole per cross pair, cleared by multiplying every term by
-    its complementary Vandermonde factor and dividing the full sum by the
-    block Vandermonde at the end.  The division must be exact.
-    """
-    if f.fq != g.fq:
-        raise CohaError("elements live over different quivers")
-    fq = f.fq
-    q = fq.base
-    d, e = f.d, g.d
-    t = tuple(a + b for a, b in zip(d, e))
-    n = sum(t)
-    offs = block_offsets(t)
-    nv = q.vertex_count
-
-    # embed f (block prefix) and g (block suffix) in the target ring
-    f_pos = [
-        offs[i] + r
-        for i in range(nv)
-        for r in range(d[i])
-    ]
-    g_pos = [
-        offs[i] + d[i] + s
-        for i in range(nv)
-        for s in range(e[i])
-    ]
-    core = f.poly.embed(n, f_pos) * g.poly.embed(n, g_pos)
-
-    units = [unit_vector(q, i) for i in range(nv)]
-    chi = [[euler_form(q, units[i], units[j]) for j in range(nv)] for i in range(nv)]
-
-    # non-negative kernel exponents multiply into the numerator
-    for i in range(nv):
-        for j in range(nv):
-            power = -chi[i][j]
-            if power <= 0:
-                continue
-            for r in range(d[i]):
-                for s in range(e[j]):
-                    factor = Poly.variable(n, offs[j] + d[j] + s) - Poly.variable(
-                        n, offs[i] + r
-                    )
-                    core = core * factor**power
-
-    loopless = [i for i in range(nv) if chi[i][i] == 1 and t[i] > 0]
-
-    # the complementary Vandermonde of each shuffle is the shuffled image of
-    # the block Vandermondes, so it folds into the core once and for all
-    for i in loopless:
-        core = core * _vandermonde(n, tuple(offs[i] + p for p in range(d[i])))
-        core = core * _vandermonde(
-            n, tuple(offs[i] + d[i] + s for s in range(e[i]))
-        )
-
-    total = Poly.zero(n)
-    block_choices = [combinations(range(t[i]), d[i]) for i in range(nv)]
-    for choice in product(*block_choices):
-        perm = list(range(n))
-        sign = 1
-        for i in range(nv):
-            a_set = choice[i]
-            in_a = set(a_set)
-            b_set = [p for p in range(t[i]) if p not in in_a]
-            for p, target_slot in enumerate(a_set):
-                perm[offs[i] + p] = offs[i] + target_slot
-            for s, target_slot in enumerate(b_set):
-                perm[offs[i] + d[i] + s] = offs[i] + target_slot
-            if i in loopless:
-                inv = sum(1 for a in a_set for b in b_set if b < a)
-                if inv % 2:
-                    sign = -sign
-        term = core.permute_vars(perm)
-        total = total + (term if sign == 1 else -term)
-
-    if loopless:
-        denom = Poly.const(n, 1)
-        for i in loopless:
-            denom = denom * _vandermonde(n, tuple(offs[i] + p for p in range(t[i])))
-        total = total.exact_div(denom)
-
-    result = SymPoly(fq, t, total)
-    if not result.is_symmetric():
-        raise AssertionError("shuffle product broke block symmetry")
-    if not result.is_zero():
-        expected = f.degree() + g.degree() - euler_form(q, d, e)
-        if result.degree() > expected:
-            raise AssertionError("shuffle product broke the degree law")
-        if (
-            f.is_homogeneous()
-            and g.is_homogeneous()
-            and result.degree() != expected
-        ):
-            raise AssertionError("shuffle product broke the degree law")
-    return result
-
-
 def random_fraction_element(fq, d, degree, rng):
     """Random combination of the monomial-symmetric basis, Fraction coefficients."""
     total = unit(fq, d).scale(0)
@@ -155,30 +60,10 @@ def random_fraction_element(fq, d, degree, rng):
     return total
 
 
-ORACLE_FIXTURES = [
-    ("point-w1", vertex_only(1), [(d,) for d in range(4)], 6),
-    ("point-w3", vertex_only(3), [(d,) for d in range(4)], 6),
-    ("one-loop", framed_loops(1, 1), [(d,) for d in range(4)], 6),
-    ("two-loop", framed_loops(2, 1), [(d,) for d in range(4)], 5),
-    ("three-loop", framed_loops(3, 1), [(d,) for d in range(3)], 4),
-    ("a2", framed_a2(2), [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (0, 2)], 4),
-    (
-        "looped-and-loopless",
-        FramedQuiver(Quiver.make(2, [("a", 0, 1), ("b", 1, 0), ("l", 0, 0)]), (1, 0)),
-        [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1)],
-        4,
-    ),
-    (
-        "double-arrow",
-        FramedQuiver(Quiver.make(2, [("a", 0, 1), ("c", 0, 1)]), (1, 0)),
-        [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1)],
-        4,
-    ),
-]
 
 
 @pytest.mark.parametrize(
-    "fq, dims, max_total", [f[1:] for f in ORACLE_FIXTURES], ids=[f[0] for f in ORACLE_FIXTURES]
+    "fq, dims, max_total", [f[1:] for f in SHUFFLE_FIXTURES], ids=[f[0] for f in SHUFFLE_FIXTURES]
 )
 def test_orbit_product_matches_per_shuffle_oracle(fq, dims, max_total):
     rng = Random(2024)
@@ -188,11 +73,32 @@ def test_orbit_product_matches_per_shuffle_oracle(fq, dims, max_total):
                 continue
             f = random_fraction_element(fq, d, 2, rng)
             g = random_fraction_element(fq, e, 2, rng)
-            assert shuffle_product(f, g).poly == per_shuffle_product(f, g).poly, (d, e)
+            assert shuffle_product(f, g).poly == per_shuffle_product(f, g), (d, e)
 
 
 @pytest.mark.parametrize(
-    "fq, dims, max_total", [f[1:] for f in ORACLE_FIXTURES], ids=[f[0] for f in ORACLE_FIXTURES]
+    "fq, dims, max_total", [f[1:] for f in SHUFFLE_FIXTURES], ids=[f[0] for f in SHUFFLE_FIXTURES]
+)
+def test_cup_product_matches_polynomial_oracle(fq, dims, max_total):
+    rng = Random(31)
+    for d in dims:
+        for _ in range(3):
+            f = random_fraction_element(fq, d, 2, rng)
+            g = random_fraction_element(fq, d, 2, rng)
+            assert cup_product(f, g).poly == poly_cup_product(f, g), d
+        # orbit sums pairwise, read back through the coordinates oracle
+        for p, q in [(1, 1), (1, 2), (2, 2)]:
+            basis = slice_basis(d, p + q)
+            index = {sig: j for j, sig in enumerate(basis)}
+            for a in slice_basis(d, p):
+                for b in slice_basis(d, q):
+                    f, g = monomial_symmetric(fq, d, a), monomial_symmetric(fq, d, b)
+                    want = poly_coordinates(poly_cup_product(f, g), d, basis)
+                    assert _row(cup_product(f, g), index) == want, (a, b)
+
+
+@pytest.mark.parametrize(
+    "fq, dims, max_total", [f[1:] for f in SHUFFLE_FIXTURES], ids=[f[0] for f in SHUFFLE_FIXTURES]
 )
 def test_int_elements_have_int_products(fq, dims, max_total):
     # integer inputs stay in integer arithmetic: the division by d! e! is exact
@@ -250,10 +156,15 @@ def test_associativity_sample(fixture):
 
 @pytest.mark.parametrize("fq", [vertex_only(1), framed_loops(2, 1)], ids=["point", "two-loop"])
 def test_non_symmetric_factor_is_rejected(fq):
+    # symmetry is guaranteed by the type, so building the element is what fails
     with pytest.raises(CohaError):
-        shuffle_product(variable(fq, (2,), 0, 1), unit(fq, (1,)))
+        SymPoly.from_poly(fq, (2,), Poly.variable(2, 0))
+    x1_squared_x2 = Poly.monomial(3, (2, 1, 0)) + Poly.monomial(3, (1, 2, 0))
     with pytest.raises(CohaError):
-        shuffle_product(unit(fq, (1,)), variable(fq, (2,), 0, 1))
+        SymPoly.from_poly(fq, (3,), x1_squared_x2)
+    symmetric = x1_squared_x2 + Poly.monomial(3, (2, 0, 1)) + Poly.monomial(3, (1, 0, 2))
+    symmetric = symmetric + Poly.monomial(3, (0, 2, 1)) + Poly.monomial(3, (0, 1, 2))
+    assert SymPoly.from_poly(fq, (3,), symmetric) == monomial_symmetric(fq, (3,), ((2, 1, 0),))
 
 
 def test_quiver_mismatch():
@@ -270,8 +181,7 @@ def test_cup_examples(two_loop):
     e1 = elementary(two_loop, (2,), 0, 1)
     e2 = elementary(two_loop, (2,), 0, 2)
     square = cup_product(e1, e1)
-    x1 = variable(two_loop, (2,), 0, 1).poly
-    x2 = variable(two_loop, (2,), 0, 2).poly
+    x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
     assert square.poly == (x1 + x2) * (x1 + x2)
     assert cup_product(e1, unit(two_loop, (2,))).poly == e1.poly
     assert cup_product(e1, e2).poly == (x1 + x2) * (x1 * x2)
@@ -279,10 +189,9 @@ def test_cup_examples(two_loop):
 
 def test_framing_idempotent(two_loop):
     fq1 = vertex_only(1)
-    assert framing_idempotent(fq1, (1,)).poly == variable(fq1, (1,), 0, 1).poly
+    assert framing_idempotent(fq1, (1,)).poly == Poly.variable(1, 0)
     e = framing_idempotent(two_loop, (2,))
-    x1 = variable(two_loop, (2,), 0, 1).poly
-    x2 = variable(two_loop, (2,), 0, 2).poly
+    x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
     assert e.poly == x1 * x2
     fq0 = vertex_only(0)
     assert framing_idempotent(fq0, (2,)).poly.is_const()
@@ -329,6 +238,12 @@ def test_kernel_dims_two_loop_d6(two_loop):
     assert all(type(x) is int for row in rows for x in row)
 
 
+def test_kernel_dims_two_loop_d7(two_loop):
+    # golden values; the full sweep, n=0..21, is recorded in ROADMAP.md
+    dims = [kernel_graded_piece(two_loop, (7,), n).dim for n in range(14)]
+    assert dims == [0, 0, 0, 0, 0, 0, 0, 2, 3, 6, 10, 17, 28, 42]
+
+
 def test_kernel_dims_loopless_kostka_sizes():
     # golden values where Kostka numbers exceed 1 (loopless blocks of size 4, 5)
     reports = [verify_basis(vertex_only(7), (4,), n) for n in range(14)]
@@ -354,6 +269,16 @@ def test_tautological_monomials_two_loop(two_loop):
     ).poly
     empty = make_partition(two_loop, (3,), [()])
     assert tautological_monomial(two_loop, empty).poly.is_const()
+
+
+def test_tautological_matches_polynomial_oracle(two_loop):
+    cases = [(two_loop, (d,)) for d in range(6)]
+    cases += [(framed_a2(2), d) for d in product(range(3), repeat=2)]
+    cases += [(vertex_only(7), (4,))]
+    for fq, d in cases:
+        for lam in enumerate_partitions(fq, d):
+            t = tautological_monomial(fq, lam)
+            assert t.poly == poly_tautological_monomial(fq, lam), (d, lam)
 
 
 def test_tautological_degree_is_size(two_loop, a2):
@@ -409,7 +334,7 @@ def test_kernel_is_left_submodule_slice(fq):
                     if prod.is_zero():
                         continue
                     piece = kernel_graded_piece(fq, prod.d, prod.degree())
-                    assert piece.contains(coordinates(prod, list(piece.basis)))
+                    assert piece.contains(poly_coordinates(prod.poly, prod.d, piece.basis))
 
 
 def test_top_degree(two_loop):
@@ -433,5 +358,5 @@ def test_coordinates_roundtrip(two_loop):
     basis = slice_basis(d, 3)
     rows = []
     for sig in basis:
-        rows.append(coordinates(monomial_symmetric(two_loop, d, sig), basis))
+        rows.append(poly_coordinates(monomial_symmetric(two_loop, d, sig).poly, d, basis))
     assert rref(rows) == rref([tuple(Fraction(int(i == j)) for j in range(len(basis))) for i in range(len(basis))])
