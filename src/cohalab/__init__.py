@@ -51,6 +51,7 @@ from .coha import (
 )
 from .partitions import (
     MultiPartition,
+    cell_labels,
     compare_partitions,
     enumerate_partitions,
     format_partition,

@@ -236,7 +236,7 @@ def cmd_partitions(args) -> int:
             "partition": partitions.format_partition(lam),
             "dim": partitions.partition_cell_dim(fq, d, lam),
         }
-        for lam in partitions.enumerate_partitions(fq, d)
+        for lam in partitions.cell_labels(fq, d)
     ]
     _emit(args, rows, lambda r: f"{r['partition']} dim={r['dim']}")
     return 0

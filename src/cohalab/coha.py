@@ -26,7 +26,7 @@ from operator import add, mul
 from typing import Mapping
 
 from .linalg import rref
-from .partitions import MultiPartition, enumerate_partitions, satisfies_phi
+from .partitions import MultiPartition, cell_labels, satisfies_phi
 from .polys import Coeff, Poly, divide, normal
 from .quiver import DimVector, FramedQuiver, Quiver, check_dim, euler_form, unit_vector
 from .series import motivic_class
@@ -437,7 +437,7 @@ def tautological_monomial(fq: FramedQuiver, lam: MultiPartition) -> SymPoly:
     """Product over vertices and k of e_k to the power lambda_k - lambda_{k+1},
     multiplied in coordinates."""
     d = lam.shape()
-    if not satisfies_phi(fq, d, lam):
+    if not satisfies_phi(fq, d, lam):  # public callers pass labels of their own
         raise CohaError("partition does not label a cell")
     result = unit(fq, d)
     for i, parts in enumerate(lam.parts):
@@ -462,14 +462,15 @@ def verify_basis(fq: FramedQuiver, d: DimVector, n: int) -> BasisReport:
     """Check that tautological monomials base the degree-n quotient slice.
 
     The quotient dimension (slice minus kernel) must equal the number of
-    cell labels of size n, and the tautological monomials of those labels
-    must stay independent modulo the kernel slice.
+    size-n cell labels, read off the shortlex trees by cell_labels, and the
+    tautological monomials of those labels must stay independent modulo
+    the kernel slice.
     """
     d = check_dim(fq.base, d)
     kernel = kernel_graded_piece(fq, d, n)
     index = {sig: j for j, sig in enumerate(kernel.basis)}
     h_dim = len(index)
-    labels = [lam for lam in enumerate_partitions(fq, d) if lam.size == n]
+    labels = [lam for lam in cell_labels(fq, d) if lam.size == n]
     taut_rows = [_row(tautological_monomial(fq, lam), index) for lam in labels]
     stacked = rref(list(kernel.rows) + taut_rows)
     quotient_dim = h_dim - kernel.dim

@@ -1,6 +1,6 @@
 """Exact linear algebra over the rationals, carried out in integers.
 
-Small dense routines: rank, span membership, reduced row echelon form.
+Small dense routines: span membership and reduced row echelon form.
 Rows may hold int or Fraction entries.  Each row is scaled once to
 integers by the lcm of its denominators and then eliminated fraction-free:
 with pivot p in row r and entry f of row i in the pivot column, and
@@ -89,12 +89,6 @@ def rref(rows) -> list[tuple[int, ...]]:
         if r == len(m):
             break
     return [tuple(row) for row in m[:r]]
-
-
-def rank(rows) -> int:
-    if not rows:
-        return 0
-    return len(rref(rows))
 
 
 class Span:

@@ -2,21 +2,22 @@
 
 A multipartition assigns to each vertex a weakly decreasing tuple of
 naturals of length d_i (trailing zeros kept internally, suppressed in
-display).  Membership in the label set is the box-counting condition
-checked by satisfies_phi; enumeration works directly from that condition,
-independently of any tree enumeration, so the two counts cross-check each
-other.
+display).  Production labels are read off the shortlex subtrees through
+the bijection (cell_labels).  enumerate_partitions brute-forces them from
+the box-counting condition satisfies_phi alone, never touching trees: it
+is the independent phi oracle of checks.py, the tests and the benchmark.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, product
 
-from .cells import CellError, Subtree, critical_set, grow_subtree
+from .cells import CellError, Subtree, critical_set, enumerate_trees, grow_subtree
 from .paths import Path, PathOrder, path_target
-from .quiver import DimVector, FramedQuiver, check_dim
+from .quiver import DimVector, FramedQuiver, check_dim, parse_number
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ def make_partition(fq: FramedQuiver, d: DimVector, parts) -> MultiPartition:
 
 
 def satisfies_phi(fq: FramedQuiver, d: DimVector, lam: MultiPartition) -> bool:
-    """Condition on a multipartition to label a cell.
+    """Condition on a multipartition to label a cell: the phi oracle's filter.
 
     For every vector b with 0 <= b < d componentwise and b != d, some
     vertex i must satisfy lambda^{(i)}_{d_i - b_i} < c(b)_i, where the
@@ -114,7 +115,7 @@ def compare_partitions(lam: MultiPartition, mu: MultiPartition) -> int:
 
 
 def _vertex_partitions(max_part: int, length: int):
-    """Weakly decreasing tuples of the given length with parts <= max_part."""
+    """The phi oracle's per-vertex box: weakly decreasing tuples, parts <= max_part."""
     if length == 0:
         yield ()
         return
@@ -132,11 +133,11 @@ def _vertex_partitions(max_part: int, length: int):
 
 
 def enumerate_partitions(fq: FramedQuiver, d: DimVector) -> list[MultiPartition]:
-    """All multipartitions labelling cells, in the canonical order.
+    """All cell labels in the canonical order, by the phi brute force kept
+    for checks.py, the tests and the benchmark (production uses cell_labels).
 
-    Brute force over the bounded box (first parts at vertex i capped by
-    max(0, c(d)_i)) filtered by satisfies_phi.  This path never touches
-    trees, giving an independent count for the bijection.
+    The bounded box (first parts at vertex i capped by max(0, c(d)_i))
+    filtered by satisfies_phi; never touches trees, so it checks them.
     """
     d = check_dim(fq.base, d)
     c = fq.critical_dim_vector(d)
@@ -168,6 +169,14 @@ def tree_to_partition(
     for v, kv in zip(crit.paths, crit.k):
         at_k[path_target(fq, v)][kv] += 1
     return MultiPartition(tuple(tuple(accumulate(c[:-1]))[::-1] for c in at_k))
+
+
+def cell_labels(fq: FramedQuiver, d: DimVector) -> list[MultiPartition]:
+    """The cell labels of d in the canonical order, one per shortlex subtree
+    (sorted: the tree order is not the label order on the two-cycle quiver)."""
+    order = PathOrder.shortlex()
+    labels = (tree_to_partition(fq, s, order) for s in enumerate_trees(fq, d, order))
+    return sorted(labels, key=partition_sort_key)
 
 
 def partition_to_tree(
@@ -211,17 +220,12 @@ def format_partition(lam: MultiPartition) -> str:
     return "".join(groups)
 
 
+_PARTITION = re.compile(r"(?:\s*\[\s*(?:\d+\s*(?:,\s*\d+\s*)*)?\])+\s*")
+
+
 def parse_partition(fq: FramedQuiver, d: DimVector, text: str) -> MultiPartition:
-    text = text.strip()
-    if not text.startswith("["):
+    """Exactly ('[' (natural (',' natural)*)? ']')+, whitespace between tokens."""
+    if _PARTITION.fullmatch(text) is None:
         raise CellError(f"cannot parse partition {text!r}")
-    groups = []
-    for chunk in text.strip("]").split("]"):
-        chunk = chunk.lstrip("[")
-        try:
-            groups.append(tuple(int(x) for x in chunk.split(",") if x.strip()))
-        except ValueError:
-            raise CellError(f"cannot parse partition {text!r}") from None
-    if len(groups) == 1 and fq.vertex_count > 1:
-        raise CellError("one bracket group per vertex required")
-    return make_partition(fq, d, groups)
+    groups = [re.findall(r"\d+", group) for group in re.findall(r"\[[^\]]*\]", text)]
+    return make_partition(fq, d, [[parse_number(x, int) for x in g] for g in groups])

@@ -282,6 +282,26 @@ def test_partitions_cli(two_loop_file, capsys):
     ]
 
 
+TWO_CYCLE_Q = "vertices 2\narrow a 0 1\narrow b 1 0\nframing 1 1\n"
+TWO_CYCLE_PARTITIONS = [  # label order, not the shortlex tree order
+    ("[][]", 4),
+    ("[][1]", 3),
+    ("[][1,1]", 2),
+    ("[1][]", 3),
+    ("[1,1][]", 2),
+]
+
+
+def test_partitions_cli_two_cycle(tmp_path, capsys):
+    path = tmp_path / "twocycle.q"
+    path.write_text(TWO_CYCLE_Q, encoding="utf-8")
+    assert run(["partitions", "-q", str(path), "--dim", "2,2"]) == 0
+    assert lines_of(capsys) == [f"{lam} dim={dim}" for lam, dim in TWO_CYCLE_PARTITIONS]
+    assert run(["partitions", "-q", str(path), "--dim", "2,2", "--json"]) == 0
+    rows = [json.loads(line) for line in lines_of(capsys)]
+    assert rows == [{"partition": lam, "dim": dim} for lam, dim in TWO_CYCLE_PARTITIONS]
+
+
 def test_check_suite(capsys):
     assert run(["check"]) == 0
     out = lines_of(capsys)
@@ -340,6 +360,10 @@ BAD_INPUTS = [
     pytest.param(["classify"], "rep 1\nframing 0 1\n1/0\n", id="rep-zero-denominator"),
     pytest.param(["classify"], "rep 1\nframing 0 1\nx\n", id="rep-non-number"),
     pytest.param(["bijection", "--partition", "[x]", "--dim", "3"], None, id="partition"),
+    pytest.param(["bijection", "--partition", "[1]]", "--dim", "3"], None, id="partition-close"),
+    pytest.param(["bijection", "--partition", "[[1]", "--dim", "3"], None, id="partition-open"),
+    pytest.param(["bijection", "--partition", "[1,]", "--dim", "3"], None, id="partition-comma"),
+    pytest.param(["bijection", "--partition", "[1,,1]", "--dim", "3"], None, id="partition-gap"),
     pytest.param(["shuffle", "--left", "d=1:x^x", "--right", "d=1:1"], None, id="exponent"),
     pytest.param(["shuffle", "--left", "d=1:x[0,", "--right", "d=1:1"], None, id="cut-variable"),
     pytest.param(["shuffle", "--left", "d=2:x", "--right", "d=1:1"], None, id="not-symmetric"),

@@ -1,4 +1,6 @@
+import ast
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,11 @@ from hypothesis import strategies as st
 
 from cohalab import (
     CellError,
+    FramedQuiver,
     PathOrder,
+    Quiver,
     cell_dim,
+    cell_labels,
     compare_partitions,
     enumerate_partitions,
     enumerate_trees,
@@ -189,12 +194,57 @@ def test_single_vertex_order_transport(two_loop, shortlex, lex):
             ]
 
 
+A3_FLAG = FramedQuiver(Quiver.make(3, [("a", 0, 1), ("b", 1, 2)]), (4, 0, 0))
+# shortlex grows the label [1][] between [][] and [][1] here, so the tree
+# order is not the label order and cell_labels has to sort
+TWO_CYCLE = FramedQuiver(Quiver.make(2, [("a", 0, 1), ("b", 1, 0)]), (1, 1))
+LABEL_CASES = roundtrip_fixtures() + [
+    (framed_loops(2, 1), (0,)),
+    (vertex_only(1), (2,)),
+    (A3_FLAG, (3, 2, 1)),
+    (TWO_CYCLE, (2, 2)),
+]
+
+
+def test_cell_labels_match_phi_enumeration():
+    for fq, d in LABEL_CASES:
+        assert cell_labels(fq, d) == enumerate_partitions(fq, d), (fq, d)
+    assert cell_labels(vertex_only(1), (2,)) == []
+    order = PathOrder.shortlex()
+    trees = enumerate_trees(TWO_CYCLE, (2, 2), order)
+    assert [tree_to_partition(TWO_CYCLE, s, order) for s in trees] != cell_labels(TWO_CYCLE, (2, 2))
+
+
+def test_phi_enumeration_is_oracle_only():
+    # production code takes its labels from the trees; the brute force is
+    # defined in partitions.py, exported, and called only by the checks
+    package = Path(__file__).resolve().parent.parent / "src" / "cohalab"
+
+    def names(tree):
+        for node in ast.walk(tree):
+            for field in ("id", "attr", "name"):
+                yield getattr(node, field, None)
+
+    users = {
+        source.name
+        for source in package.glob("*.py")
+        if "enumerate_partitions" in names(ast.parse(source.read_text(encoding="utf-8")))
+    }
+    assert users == {"partitions.py", "checks.py", "__init__.py"}
+
+
 def test_format_parse_partition(two_loop, a2):
     lam = make_partition(two_loop, (3,), [(2, 1)])
     assert parse_partition(two_loop, (3,), format_partition(lam)) == lam
     mu = make_partition(a2, (2, 1), [(1,), (1,)])
     assert format_partition(mu) == "[1][1]"
     assert parse_partition(a2, (2, 1), "[1][1]") == mu
+    assert parse_partition(two_loop, (3,), " [2, 1] ") == lam
+    assert parse_partition(two_loop, (3,), "[]").size == 0
+    assert format_partition(parse_partition(a2, (3, 1), "[2,1][0]")) == "[2,1][]"
+    for text in ["[1]]", "[[1]", "[1,]", "[1,,1]", "[1] x", "[-1]"]:
+        with pytest.raises(CellError):
+            parse_partition(two_loop, (3,), text)
 
 
 @settings(max_examples=60)

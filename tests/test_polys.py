@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohalab.linalg import Span, rank, rref, vec
+from cohalab.linalg import Span, rref, vec
 from cohalab.polys import ExactDivisionError, Poly, det_bareiss
 from helpers import minors, rank_fraction, rref_fraction, substitute, var_degree
 
@@ -100,9 +100,9 @@ def test_rref_canonical():
 
 
 def test_rank():
-    assert rank([vec([1, 0]), vec([0, 1]), vec([1, 1])]) == 2
-    assert rank([vec([0, 0])]) == 0
-    assert rank([]) == 0
+    assert len(rref([vec([1, 0]), vec([0, 1]), vec([1, 1])])) == 2
+    assert len(rref([vec([0, 0])])) == 0
+    assert len(rref([])) == 0
 
 
 def test_span_incremental():
@@ -134,7 +134,6 @@ def test_int_and_fraction_rows_stay_exact(rows):
     # int, Fraction and mixed rows: elimination must never fall back to float
     reduced = rref(rows)
     assert_exact(x for row in reduced for x in row)
-    assert rank(rows) == len(reduced)
     span = Span(len(rows[0]) if rows else 0)
     for row in rows:
         span.add(row)
@@ -220,7 +219,6 @@ def test_rref_and_rank_match_fraction_oracle(shape):
     got = rref(rows)
     assert got == [primitive(r) for r in oracle]
     assert_canonical_rows(got)
-    assert rank(rows) == len(oracle)
 
 
 @settings(max_examples=100)
