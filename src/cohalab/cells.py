@@ -10,7 +10,7 @@ of the bijection are both greedy growth by grow_subtree.
 
 from __future__ import annotations
 
-import heapq
+import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
@@ -114,7 +114,7 @@ def critical_set(fq: FramedQuiver, s: Subtree, order: PathOrder) -> CriticalSet:
     slices: list[list[Path]] = [[] for _ in range(fq.vertex_count)]
     crit, ks = [], []
     for u in order.sort(list(s.nonroot) + critical_paths(fq, members)):
-        slice_u = slices[path_target(fq, u)]
+        slice_u = slices[fq.targets[u[-1]]]
         if u in members:
             slice_u.append(u)
         else:
@@ -139,11 +139,13 @@ def tree_leq(order: PathOrder, a: Subtree, b: Subtree) -> bool:
 def adjoin(fq: FramedQuiver, order: PathOrder, crit: list[Path], v: Path) -> list[Path]:
     """The ascending critical list once v joins the tree.
 
-    crit is the ascending critical list without v; the children of v are
-    new critical paths and are merged in, so nothing is re-sorted.
+    crit is the ascending critical list without v; it is updated in place
+    and returned.  The children of v are new critical paths, each
+    inserted at its place by bisection, so nothing is re-sorted.
     """
-    new = sorted(children(fq, v), key=order.key)
-    return list(heapq.merge(crit, new, key=order.key))
+    for c in children(fq, v):
+        bisect.insort(crit, c, key=order.key)
+    return crit
 
 
 def grow_subtree(fq: FramedQuiver, order: PathOrder, total: int, accept) -> Subtree | None:
@@ -166,7 +168,8 @@ def grow_subtree(fq: FramedQuiver, order: PathOrder, total: int, accept) -> Subt
         else:
             return None
         chain.append(v)
-        crit = adjoin(fq, order, crit[:idx] + crit[idx + 1 :], v)
+        del crit[idx]
+        adjoin(fq, order, crit, v)
     return Subtree(tuple(order.sort(chain)))
 
 
@@ -178,31 +181,42 @@ def enumerate_trees(
     Depth-first extension: grow by one critical element at a time, always
     larger than the last one added, pruning when a vertex count would
     exceed its budget.  Iterating candidates in ascending order yields the
-    trees already sorted.
+    trees already sorted.  The search keeps its own stack, one frame per
+    adjoined path, so the depth is not bounded by the interpreter's
+    recursion limit.
     """
     d = check_dim(fq.base, d)
     if any(x < 0 for x in d):
         raise CellError("dimension vector must be non-negative")
     total = sum(d)
+    if total == 0:
+        return [Subtree((ROOT,))]
     results: list[Subtree] = []
-
-    def extend(chain: list[Path], counts: list[int], crit: list[Path]):
-        if len(chain) - 1 == total:
-            results.append(Subtree(tuple(chain)))
-            return
-        for idx, v in enumerate(crit):
-            i = path_target(fq, v)
-            if counts[i] >= d[i]:
-                continue
-            counts[i] += 1
-            chain.append(v)
-            # later critical elements of the old set stay critical; the
-            # children of v are new and all exceed v in any admissible order
-            extend(chain, counts, adjoin(fq, order, crit[idx + 1 :], v))
-            chain.pop()
-            counts[i] -= 1
-
-    extend([ROOT], [0] * fq.vertex_count, adjoin(fq, order, [], ROOT))
+    chain, counts = [ROOT], [0] * fq.vertex_count
+    # frame: the critical list of chain and the iterator over its candidates
+    root_crit = adjoin(fq, order, [], ROOT)
+    stack = [(root_crit, enumerate(root_crit))]
+    while stack:
+        crit, candidates = stack[-1]
+        for idx, v in candidates:
+            i = fq.targets[v[-1]]
+            if counts[i] < d[i]:
+                break
+        else:
+            stack.pop()
+            u = chain.pop()
+            if u:
+                counts[fq.targets[u[-1]]] -= 1
+            continue
+        if len(chain) == total:
+            results.append(Subtree((*chain, v)))
+            continue
+        counts[i] += 1
+        chain.append(v)
+        # later critical elements of the old set stay critical; the
+        # children of v are new and all exceed v in any admissible order
+        new_crit = adjoin(fq, order, crit[idx + 1 :], v)
+        stack.append((new_crit, enumerate(new_crit)))
     return results
 
 

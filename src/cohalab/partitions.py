@@ -173,10 +173,20 @@ def tree_to_partition(
 
 def cell_labels(fq: FramedQuiver, d: DimVector) -> list[MultiPartition]:
     """The cell labels of d in the canonical order, one per shortlex subtree
-    (sorted: the tree order is not the label order on the two-cycle quiver)."""
+    (sorted: the tree order is not the label order on the two-cycle quiver).
+
+    The labels of one (fq, d) are enumerated once and kept; every call
+    returns a fresh list of them, so a verify-basis sweep over the degrees
+    of d enumerates the trees of d once.
+    """
+    return list(_cell_labels(fq, check_dim(fq.base, d)))
+
+
+@lru_cache(maxsize=64)
+def _cell_labels(fq: FramedQuiver, d: DimVector) -> tuple[MultiPartition, ...]:
     order = PathOrder.shortlex()
     labels = (tree_to_partition(fq, s, order) for s in enumerate_trees(fq, d, order))
-    return sorted(labels, key=partition_sort_key)
+    return tuple(sorted(labels, key=partition_sort_key))
 
 
 def partition_to_tree(

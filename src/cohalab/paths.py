@@ -24,7 +24,7 @@ LEX = "lex"
 
 
 def path_target(fq: FramedQuiver, u: Path) -> int:
-    return INF_VERTEX if not u else fq.arrows[u[-1]].target
+    return INF_VERTEX if not u else fq.targets[u[-1]]
 
 
 def parent(u: Path) -> Path:
@@ -108,6 +108,8 @@ class PathOrder:
         return -1 if ku < kv else (0 if ku == kv else 1)
 
     def sort(self, paths) -> list[Path]:
+        if self.kind == LEX:  # the lex key is the path itself
+            return sorted(paths)
         return sorted(paths, key=self.key)
 
     @property

@@ -106,12 +106,24 @@ class FramedQuiver:
     arrows (source INF_VERTEX), then the base arrows.  Paths refer to
     arrows by index into this list, and index order is the arrow total
     order used by the path orders.
+
+    The instance is immutable, so three tables are built once in
+    ``__init__``: ``targets`` holds the target of each arrow index,
+    ``out_arrows`` the ascending arrow indices leaving each vertex, with
+    the framing vertex last so that index INF_VERTEX reaches it, and the
+    hash of exactly the fields that equality compares.  None of them
+    takes part in equality, repr or pickling.
     """
 
     base: Quiver
     framing: DimVector
     arrows: tuple[Arrow, ...] = field(init=False)
     framing_count: int = field(init=False)
+    targets: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    out_arrows: tuple[tuple[int, ...], ...] = field(
+        init=False, compare=False, repr=False
+    )
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __init__(self, base: Quiver, framing, framing_names=None):
         object.__setattr__(self, "base", base)
@@ -137,6 +149,23 @@ class FramedQuiver:
             raise QuiverError("framing arrow name collides with a base arrow")
         object.__setattr__(self, "arrows", arrows)
         object.__setattr__(self, "framing_count", len(frame_arrows))
+        object.__setattr__(self, "targets", tuple(a.target for a in arrows))
+        out: list[list[int]] = [[] for _ in range(base.vertex_count + 1)]
+        for i, a in enumerate(arrows):
+            out[a.source].append(i)
+        object.__setattr__(self, "out_arrows", tuple(map(tuple, out)))
+        object.__setattr__(
+            self, "_hash", hash((base, self.framing, arrows, len(frame_arrows)))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through __init__: string hashes differ between processes,
+        # so a pickled _hash would be stale where it is loaded
+        names = [a.name for a in self.arrows[: self.framing_count]]
+        return (FramedQuiver, (self.base, self.framing, names))
 
     # -- arrow helpers -------------------------------------------------------
 
@@ -147,9 +176,7 @@ class FramedQuiver:
         raise QuiverError(f"unknown arrow {name!r}")
 
     def arrows_from(self, vertex: int) -> tuple[int, ...]:
-        return tuple(
-            i for i, a in enumerate(self.arrows) if a.source == vertex
-        )
+        return self.out_arrows[vertex]
 
     # -- derived data ---------------------------------------------------------
 

@@ -194,6 +194,33 @@ def partition_to_tree_by_nominees(
     return tree
 
 
+def enumerate_trees_recursive(
+    fq: FramedQuiver, d: tuple[int, ...], order: PathOrder
+) -> list[Subtree]:
+    """All subtrees with per-vertex counts d, ascending in tree order, by
+    recursive depth-first extension (one call per adjoined path); each
+    critical list is re-sorted instead of updated."""
+    total = sum(d)
+    results: list[Subtree] = []
+
+    def extend(chain: list[Path], counts: list[int], crit: list[Path]):
+        if len(chain) - 1 == total:
+            results.append(Subtree(tuple(chain)))
+            return
+        for idx, v in enumerate(crit):
+            i = path_target(fq, v)
+            if counts[i] >= d[i]:
+                continue
+            counts[i] += 1
+            chain.append(v)
+            extend(chain, counts, order.sort(crit[idx + 1 :] + children(fq, v)))
+            chain.pop()
+            counts[i] -= 1
+
+    extend([ROOT], [0] * fq.vertex_count, order.sort(children(fq, ROOT)))
+    return results
+
+
 # -- oracles: the shuffle algebra on expanded polynomials --------------------------
 
 

@@ -24,11 +24,12 @@ from cohalab import (
     tree_to_partition,
     udim,
 )
-from cohalab.cells import NumericRep, random_rep, random_stable_rep
+from cohalab.cells import NumericRep, adjoin, random_rep, random_stable_rep
 from cohalab.linalg import rref
-from cohalab.paths import path_target
+from cohalab.paths import ROOT, children, path_target
 from conftest import framed_a2, framed_loops, vertex_only
 from helpers import (
+    enumerate_trees_recursive,
     in_cell_pairwise,
     in_degeneracy_locus_by_rank,
     oracle_fixtures,
@@ -143,6 +144,26 @@ def test_sweep_matches_pairwise_definitions(fq, dims):
                     cs = critical_set(fq, s, order)
                     assert (cs.paths, cs.k, cs.slices) == (crit, k, slices)
                     assert tree_to_partition(fq, s, order).parts == parts
+
+
+@pytest.mark.parametrize("fq, dims", SWEEP_FIXTURES)
+def test_enumerate_trees_matches_recursive_oracle(fq, dims):
+    for d in dims:
+        for order in oracle_orders(fq):
+            assert enumerate_trees(fq, d, order) == enumerate_trees_recursive(fq, d, order)
+
+
+@pytest.mark.parametrize("fq, dims", SWEEP_FIXTURES)
+def test_adjoin_matches_resort(fq, dims):
+    # every critical list of every tree, with each of its paths adjoined
+    for order in oracle_orders(fq):
+        assert adjoin(fq, order, [], ROOT) == order.sort(children(fq, ROOT))
+        for d in dims:
+            for s in enumerate_trees(fq, d, order):
+                crit = list(critical_set(fq, s, order).paths)
+                for idx, v in enumerate(crit):
+                    rest = crit[:idx] + crit[idx + 1 :]
+                    assert adjoin(fq, order, list(rest), v) == order.sort(rest + children(fq, v))
 
 
 SHORTLEX_TABLE = [

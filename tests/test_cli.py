@@ -302,6 +302,19 @@ def test_partitions_cli_two_cycle(tmp_path, capsys):
     assert rows == [{"partition": lam, "dim": dim} for lam, dim in TWO_CYCLE_PARTITIONS]
 
 
+ONE_LOOP_Q = "vertices 1\narrow a 0 0\nframing 1\nframenames f\n"
+
+
+@pytest.mark.parametrize("command", ["trees", "partitions"])
+def test_deep_single_cell_is_not_bounded_by_recursion(command, tmp_path, capsys):
+    # the one-loop quiver with framing 1 has one cell per d, a chain of d paths
+    path = tmp_path / "oneloop.q"
+    path.write_text(ONE_LOOP_Q, encoding="utf-8")
+    assert run([command, "-q", str(path), "--dim", "1500"]) == 0
+    (row,) = lines_of(capsys)
+    assert row.endswith(" dim=1500" if command == "partitions" else " dim=1500 partition=[]")
+
+
 def test_check_suite(capsys):
     assert run(["check"]) == 0
     out = lines_of(capsys)

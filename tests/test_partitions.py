@@ -28,7 +28,9 @@ from cohalab import (
     tree_key,
     tree_to_partition,
 )
+from cohalab import partitions
 from cohalab.checks import roundtrip_fixtures
+from cohalab.coha import verify_basis
 from cohalab.partitions import MultiPartition, _vertex_partitions
 from conftest import framed_loops, vertex_only
 from helpers import oracle_fixtures, oracle_orders, partition_to_tree_by_nominees
@@ -213,6 +215,30 @@ def test_cell_labels_match_phi_enumeration():
     order = PathOrder.shortlex()
     trees = enumerate_trees(TWO_CYCLE, (2, 2), order)
     assert [tree_to_partition(TWO_CYCLE, s, order) for s in trees] != cell_labels(TWO_CYCLE, (2, 2))
+
+
+def test_cell_labels_returns_fresh_lists():
+    first = cell_labels(TWO_CYCLE, (2, 2))
+    expected = list(first)
+    first.reverse()
+    first.append(first[0])
+    assert cell_labels(TWO_CYCLE, (2, 2)) == expected
+    assert cell_labels(TWO_CYCLE, [2, 2]) == expected
+
+
+def test_verify_basis_sweep_enumerates_trees_once(monkeypatch):
+    calls = []
+
+    def counting(fq, d, order):
+        calls.append(d)
+        return enumerate_trees(fq, d, order)
+
+    partitions._cell_labels.cache_clear()
+    monkeypatch.setattr(partitions, "enumerate_trees", counting)
+    fq = framed_loops(2, 1)
+    reports = [verify_basis(fq, (3,), n) for n in range(4)]
+    assert all(r.independent for r in reports)
+    assert calls == [(3,)]
 
 
 def test_phi_enumeration_is_oracle_only():

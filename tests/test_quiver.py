@@ -1,3 +1,9 @@
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,7 +16,8 @@ from cohalab import (
     parse_quiver_file,
     serialize_quiver_file,
 )
-from conftest import framed_loops, loop_quiver, vertex_only
+from cohalab.quiver import INF_VERTEX
+from conftest import framed_a2, framed_loops, loop_quiver, vertex_only
 
 
 def test_euler_form_two_loop():
@@ -116,3 +123,48 @@ def test_framing_arrow_order_two_framings():
 def test_framing_name_count_checked():
     with pytest.raises(QuiverError):
         FramedQuiver(loop_quiver(1), (2,), ["only_one"])
+
+
+TWO_CYCLE = FramedQuiver(Quiver.make(2, [("a", 0, 1), ("b", 1, 0)]), (1, 1))
+
+
+@pytest.mark.parametrize(
+    "fq",
+    [framed_loops(2, 1), framed_a2(1), framed_a2(2), TWO_CYCLE, vertex_only(3)],
+    ids=["two-loop", "a2-w1", "a2-w2", "two-cycle", "point"],
+)
+def test_arrow_tables_match_scan(fq):
+    for v in list(range(fq.vertex_count)) + [INF_VERTEX]:
+        scan = tuple(i for i, a in enumerate(fq.arrows) if a.source == v)
+        assert fq.arrows_from(v) == scan
+    assert fq.targets == tuple(a.target for a in fq.arrows)
+
+
+def test_equal_quivers_hash_equal_and_repr_unchanged():
+    built = FramedQuiver(loop_quiver(1), (1,), ["f"])
+    parsed = parse_quiver_file("vertices 1\narrow a 0 0\nframing 1\nframenames f\n")
+    assert built is not parsed
+    assert built == parsed and hash(built) == hash(parsed)
+    assert repr(built) == repr(parsed) == (
+        "FramedQuiver(base=Quiver(vertex_count=1, arrows=(Arrow(name='a', source=0, "
+        "target=0),)), framing=(1,), arrows=(Arrow(name='f', source=-1, target=0), "
+        "Arrow(name='a', source=0, target=0)), framing_count=1)"
+    )
+    assert built != FramedQuiver(loop_quiver(1), (1,), ["g"])
+    assert built != FramedQuiver(loop_quiver(1), (2,))
+
+
+def test_pickled_quiver_rehashes_where_loaded():
+    # string hashes differ between processes, so a cached hash must not travel
+    fq = framed_loops(2, 2)
+    script = (
+        "import pickle, sys; from cohalab.checks import framed_loops; "
+        "sys.stdout.buffer.write(pickle.dumps(framed_loops(2, 2)))"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="1")
+    loaded = pickle.loads(
+        subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, check=True).stdout
+    )
+    assert loaded == fq and hash(loaded) == hash(fq)
+    assert loaded.out_arrows == fq.out_arrows and loaded.targets == fq.targets
