@@ -83,6 +83,12 @@ from .quiver import (
     parse_quiver_file,
     serialize_quiver_file,
 )
-from .series import LaurentPoly, betti_numbers, gaussian_binomial, motivic_class
+from .series import (
+    LaurentPoly,
+    betti_numbers,
+    gaussian_binomial,
+    motivic_class,
+    q_multinomial,
+)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -22,7 +22,7 @@ from .partitions import enumerate_partitions, format_partition
 from .partitions import partition_to_tree, tree_to_partition
 from .paths import PathOrder
 from .quiver import DimVector, FramedQuiver, Quiver
-from .series import betti_numbers, gaussian_binomial, motivic_class
+from .series import betti_numbers, gaussian_binomial, motivic_class, q_multinomial
 
 DEFAULT_SEED = 20240808
 
@@ -48,9 +48,16 @@ def vertex_only(w: int) -> FramedQuiver:
     return FramedQuiver(Quiver.make(1, []), (w,))
 
 
+def framed_an(n: int, w: int) -> FramedQuiver:
+    """The linear quiver 0 -> 1 -> ... -> n-1 (arrows a, b, ...) framed w
+    at vertex 0; its moduli spaces are partial flag varieties."""
+    names = {1: ["f"], 2: ["e", "f"], 3: ["e", "f", "g"]}.get(w)
+    arrows = [("abcdefgh"[i], i, i + 1) for i in range(n - 1)]
+    return FramedQuiver(Quiver.make(n, arrows), (w,) + (0,) * (n - 1), names)
+
+
 def framed_a2(w0: int) -> FramedQuiver:
-    names = {1: ["f"], 2: ["e", "f"], 3: ["e", "f", "g"]}.get(w0)
-    return FramedQuiver(Quiver.make(2, [("a", 0, 1)]), (w0, 0), names)
+    return framed_an(2, w0)
 
 
 def roundtrip_fixtures() -> list[tuple[FramedQuiver, DimVector]]:
@@ -123,6 +130,33 @@ def q_binomial_oracle(rng: Random) -> list[str]:
     return failures
 
 
+def flag_parts(w: int, d: DimVector) -> list[int]:
+    """The parts w-d_0, d_0-d_1, ..., d_{n-1} of the flag variety's
+    q-multinomial; a negative part means the moduli space is empty."""
+    return [w - d[0]] + [d[k] - d[k + 1] for k in range(len(d) - 1)] + [d[-1]]
+
+
+def flag_oracle(rng: Random) -> list[str]:
+    """Linear quivers framed at vertex 0: the series is the q-multinomial
+    of the partial flag variety, and the tautological monomials of Fl(4)
+    base every quotient slice (ROADMAP item 3)."""
+    cases = [(2, w, d) for w in (3, 4) for d in product(range(w + 2), repeat=2)]
+    cases += [(3, 4, (3, 2, 1)), (3, 5, (4, 2, 1)), (3, 5, (3, 3, 1)), (4, 5, (4, 3, 2, 1))]
+    failures = []
+    for n, w, d in cases:
+        fq = framed_an(n, w)
+        mot = motivic_class(fq, d)
+        if mot.as_dict() != q_multinomial(flag_parts(w, d)).as_dict():
+            failures.append(f"{_where(fq, d)}: {mot} is not the q-multinomial")
+    fq, d = framed_an(3, 4), (3, 2, 1)  # Fl(4)
+    cells = q_multinomial(flag_parts(4, d)).as_dict()
+    for n in range(top_degree(fq, d) + 2):
+        report = verify_basis(fq, d, n)
+        if not report.independent or report.quotient_dim != cells.get(fq.hilb_dim(d) - n, 0):
+            failures.append(f"{_where(fq, d)}, n={n}: {report}")
+    return failures
+
+
 def tautological_basis(rng: Random) -> list[str]:
     """Tautological monomials base every quotient slice (criterion 8)."""
     fixtures = (
@@ -167,4 +201,5 @@ CHECKS: dict[str, Callable[[Random], list[str]]] = {
     "q-binomial-oracle": q_binomial_oracle,
     "tautological-basis": tautological_basis,
     "cell-partition": cell_partition,
+    "flag-oracle": flag_oracle,
 }

@@ -307,21 +307,25 @@ def cmd_verify_basis(args) -> int:
         raise DomainError("--max-degree must be non-negative")
     top = coha.top_degree(fq, d)
     max_degree = args.max_degree if args.max_degree is not None else max(top + 1, 0)
-    rows = []
-    for n in range(max_degree + 1):
-        row = asdict(coha.verify_basis(fq, d, n))
-        del row["d"], row["n"]
-        rows.append({"degree": n, **row})
-    _emit(
-        args,
-        rows,
-        lambda r: (
+
+    def text_of(r: dict) -> str:
+        return (
             f"n={r['degree']} h={r['h_dim']} kernel={r['kernel_dim']} "
             f"quotient={r['quotient_dim']} partitions={r['partition_count']} "
             f"{'PASS' if r['independent'] else 'FAIL'}"
-        ),
-    )
-    return 0 if all(r["independent"] for r in rows) else 1
+        )
+
+    # each degree is printed when it is done, so a long sweep shows its
+    # progress and an error leaves the finished degrees on stdout
+    independent = True
+    for n in range(max_degree + 1):
+        row = asdict(coha.verify_basis(fq, d, n))
+        del row["d"], row["n"]
+        row = {"degree": n, **row}
+        _emit(args, [row], text_of)
+        sys.stdout.flush()
+        independent = independent and row["independent"]
+    return 0 if independent else 1
 
 
 def cmd_charts(args) -> int:

@@ -203,11 +203,14 @@ def partition_to_tree(
     """
     d = lam.shape()
     counts = [0] * fq.vertex_count
+    # the index vertex i accepts, refreshed only when vertex i gains a path
+    want = [lam.entry(i, d[i]) for i in range(fq.vertex_count)]
 
     def accept(v: Path, i: int, seen: int) -> bool:
-        if seen != lam.entry(i, d[i] - counts[i]):
+        if seen != want[i]:
             return False
         counts[i] += 1
+        want[i] = lam.entry(i, d[i] - counts[i])
         return True
 
     tree = grow_subtree(fq, order, sum(d), accept)

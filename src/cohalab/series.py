@@ -4,19 +4,21 @@ The motivic class of a moduli space of stable framed representations is
 read off its cell decomposition: one L^(cell dimension) per subtree label.
 The class does not depend on the path order, so the shortlex cells are
 used.  For the no-arrow quiver the class collapses to a Gaussian binomial,
-computed here independently by brute-force subset enumeration as an
-oracle.
+and for the linear quiver framed at its first vertex to a q-multinomial;
+both are computed here independently, by brute-force inversion counting
+over words, as oracles.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .cells import cell_dim, enumerate_trees
 from .paths import PathOrder
-from .quiver import DimVector, FramedQuiver
+from .quiver import DimVector, FramedQuiver, check_dim
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,17 @@ class LaurentPoly:
 
 
 def motivic_class(fq: FramedQuiver, d: DimVector) -> LaurentPoly:
-    """Sum of L^(cell dimension) over the cells of d."""
+    """Sum of L^(cell dimension) over the cells of d.
+
+    Memoised per (quiver, d), d normalised by check_dim so that a list and
+    a tuple share an entry; LaurentPoly is immutable, so betti_numbers
+    and top_degree reuse the class instead of enumerating the trees again.
+    """
+    return _motivic_class(fq, check_dim(fq.base, d))
+
+
+@lru_cache(maxsize=64)
+def _motivic_class(fq: FramedQuiver, d: DimVector) -> LaurentPoly:
     order = PathOrder.shortlex()
     return LaurentPoly.from_dict(
         Counter(cell_dim(fq, s, order) for s in enumerate_trees(fq, d, order))
@@ -114,24 +126,42 @@ def betti_numbers(fq: FramedQuiver, d: DimVector) -> list[tuple[int, int]]:
     return [(2 * (top - e), c) for e, c in motivic_class(fq, d).coeffs]
 
 
-def gaussian_binomial(w: int, d: int) -> LaurentPoly:
-    """q-binomial [w choose d] by brute-force inversion counting.
+def q_multinomial(parts) -> LaurentPoly:
+    """q-multinomial [sum(parts); parts] by brute-force inversion counting.
 
-    Sums L^inv(T) over d-element subsets T of {1..w}, where inv counts the
-    pairs (s, t) with s in T, t outside, t < s.  Deliberately naive: this
-    is the independent oracle for the no-arrow quiver series.
+    Sums L^inv(word) over the distinct words with parts[k] letters k,
+    where inv counts the positions s < t with word[s] > word[t]; zero when
+    a part is negative.  Deliberately naive: this is the independent
+    oracle for the series of the no-arrow quiver (Grassmannians) and of
+    the linear quiver framed at its first vertex (partial flag varieties).
     """
-    if d < 0 or d > w:
+    parts = tuple(parts)
+    if any(p < 0 for p in parts):
         return LaurentPoly.zero()
-    data: dict[int, int] = {}
-    universe = range(1, w + 1)
-    for subset in combinations(universe, d):
-        chosen = set(subset)
-        inv = sum(
-            1
-            for s in subset
-            for t in universe
-            if t not in chosen and t < s
-        )
-        data[inv] = data.get(inv, 0) + 1
+    data: Counter = Counter()
+    for word in _distinct_words(parts):
+        data[sum(a > b for a, b in combinations(word, 2))] += 1
     return LaurentPoly.from_dict(data)
+
+
+def _distinct_words(parts: tuple[int, ...]):
+    """Each word with parts[k] letters k once: letter k takes parts[k] of
+    the positions that the smaller letters left free."""
+    word = [0] * sum(parts)
+
+    def fill(k: int, free: tuple[int, ...]):
+        if k == len(parts):
+            yield tuple(word)
+            return
+        for chosen in combinations(free, parts[k]):
+            for pos in chosen:
+                word[pos] = k
+            yield from fill(k + 1, tuple(p for p in free if p not in chosen))
+
+    yield from fill(0, tuple(range(len(word))))
+
+
+def gaussian_binomial(w: int, d: int) -> LaurentPoly:
+    """q-binomial [w choose d]: the two-part q_multinomial, zero unless
+    0 <= d <= w."""
+    return q_multinomial((w - d, d))

@@ -212,6 +212,7 @@ CHECK_BUDGETS = {
     "q-binomial-oracle": 10.0,  # criterion 4
     "tautological-basis": 600.0,  # criterion 8
     "cell-partition": 120.0,  # criterion 10
+    "flag-oracle": 30.0,  # partial flag varieties (ROADMAP item 3)
 }
 
 

@@ -155,15 +155,21 @@ def test_enumerate_trees_matches_recursive_oracle(fq, dims):
 
 @pytest.mark.parametrize("fq, dims", SWEEP_FIXTURES)
 def test_adjoin_matches_resort(fq, dims):
-    # every critical list of every tree, with each of its paths adjoined
+    # every critical list of every tree, with each of its paths adjoined;
+    # adjoin keeps (key, path) pairs, so both halves of each pair are checked
     for order in oracle_orders(fq):
-        assert adjoin(fq, order, [], ROOT) == order.sort(children(fq, ROOT))
+
+        def check(rest, v):
+            got = adjoin(fq, order, [(order.key(u), u) for u in rest], v)
+            assert [u for _, u in got] == order.sort(rest + children(fq, v))
+            assert all(key == order.key(u) for key, u in got)
+
+        check([], ROOT)
         for d in dims:
             for s in enumerate_trees(fq, d, order):
                 crit = list(critical_set(fq, s, order).paths)
                 for idx, v in enumerate(crit):
-                    rest = crit[:idx] + crit[idx + 1 :]
-                    assert adjoin(fq, order, list(rest), v) == order.sort(rest + children(fq, v))
+                    check(crit[:idx] + crit[idx + 1 :], v)
 
 
 SHORTLEX_TABLE = [

@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from cohalab import coha
 from cohalab.cli import parse_element, run
 from cohalab.coha import CohaError, SymPoly, slice_basis, var_name
 from cohalab.polys import Poly
@@ -206,6 +207,29 @@ def test_verify_basis_tables(text, dim, rows, tmp_path, capsys):
         f"n={n} h={h} kernel={k} quotient={q} partitions={p} PASS"
         for n, (h, k, q, p) in enumerate(rows)
     ]
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_verify_basis_streams_rows(as_json, two_loop_file, monkeypatch, capsys):
+    # each degree is printed when it is done: an error at degree 2 leaves
+    # the rows of degrees 0 and 1 on stdout
+    real = coha.verify_basis
+
+    def failing_at_two(fq, d, n):
+        if n == 2:
+            raise CohaError("degree 2 failed")
+        return real(fq, d, n)
+
+    monkeypatch.setattr(coha, "verify_basis", failing_at_two)
+    args = ["verify-basis", "-q", two_loop_file, "--dim", "3"] + ["--json"] * as_json
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    rows = captured.out.strip().splitlines()
+    if as_json:
+        assert [json.loads(r)["degree"] for r in rows] == [0, 1]
+    else:
+        assert [r.split()[0] for r in rows] == ["n=0", "n=1"]
+    assert captured.err.splitlines() == ["error: degree 2 failed"]
 
 
 def test_classify_cli(two_loop_file, tmp_path, capsys):
