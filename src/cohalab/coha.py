@@ -6,12 +6,18 @@ stored as its monomial-symmetric coordinates, the ones the kernel slices
 consume, so symmetry holds by construction.  Cup products multiply
 monomial-symmetric functions block by block.  The shuffle product is a
 shuffle sum whose kernel factors carry first-order poles on loopless
-vertices; it expands its factors into polynomials only to build the
-unshuffled core, and one pass over the core sums each orbit back into
-coordinates, loopless blocks through Schur coordinates (the bialternant
-formula absorbs the Vandermonde denominator) and Kostka numbers.  Nothing
-is permuted per shuffle, and the only division is the one by d! e! per
-coordinate.  Integer inputs stay int throughout.
+vertices.  Its unshuffled core never expands f or g: the kernel factor
+K V_d V_e is invariant under S_d x S_e at looped blocks and alternating at
+loopless ones, so under the full (signed) symmetrisation every monomial
+of an orbit sum m_a contributes what its orbit representative x^a does,
+and the core is one shift of the cached kernel factor per pair of
+coordinates, weighted by both orbit sizes.  One pass over the core sums
+each orbit back into coordinates, loopless blocks through Schur
+coordinates (the bialternant formula absorbs the Vandermonde denominator)
+and Kostka numbers.  Nothing is permuted per shuffle, the only polynomial
+products build the kernel factor once per (quiver, d, e), and the only
+division is the one by d! e! per coordinate.  Integer inputs stay int
+throughout.
 """
 
 from __future__ import annotations
@@ -228,15 +234,21 @@ def _kernel_factor(q: Quiver, d: DimVector, e: DimVector) -> tuple[Poly, tuple[b
 def shuffle_product(f: SymPoly, g: SymPoly) -> SymPoly:
     """The shuffle product of graded pieces over d and e, landing in d+e.
 
-    The core is f on block prefixes times g on block suffixes times the
-    kernel numerator, times the block Vandermondes V_d V_e at loopless
-    vertices, where the shuffle sum is divided by V_t.  The core is
+    The shuffle sum of f on block prefixes times g on block suffixes times
+    the kernel numerator, times the block Vandermondes V_d V_e at loopless
+    vertices, where the sum is divided by V_t, is 1/(d! e!) times the full
+    (signed) symmetrisation Sym of that unshuffled product, because it is
     invariant under S_d x S_e at looped blocks and alternating at loopless
-    ones, so the shuffle sum is 1/(d! e!) times its full (signed)
-    symmetrisation: one pass over the core buckets each exponent by its
-    block-sorted lam.  A looped bucket is the coefficient of m_lam times
-    |Stab lam|.  A loopless bucket keeps exponents with distinct entries,
-    each signed by its sort, and is the coefficient of s_{lam-delta},
+    ones.  The kernel factor K (numerator times V_d V_e) has the same
+    invariance on its own, so Sym(pi(x^a x^b) K) = Sym(x^a x^b K) for pi in
+    S_d x S_e, and Sym(m_a(x') m_b(x'') K) = |orb a| |orb b| Sym(x^a x^b K).
+    The core is therefore sum over coordinates c_a of f and c_b of g of
+    c_a c_b |orb a| |orb b| x^(a, b) K: one shift of K's terms per pair.
+
+    One pass over the core buckets each exponent by its block-sorted lam.
+    A looped bucket is the coefficient of m_lam times |Stab lam|.  A
+    loopless bucket keeps exponents with distinct entries, each signed by
+    its sort, and is the coefficient of s_{lam-delta},
     delta = (t-1, ..., 0), by the bialternant formula
     s_mu = a_{mu+delta} / a_delta (Macdonald, Symmetric Functions and Hall
     Polynomials, I.3); it carries (-1)^C(t,2) because V_t is
@@ -247,18 +259,25 @@ def shuffle_product(f: SymPoly, g: SymPoly) -> SymPoly:
     q = f.fq.base
     d, e = f.d, g.d
     t = tuple(a + b for a, b in zip(d, e))
-    n = sum(t)
     offs = block_offsets(t)
     nv = q.vertex_count
 
-    # embed f (block prefix) and g (block suffix) in the target ring
-    f_pos = [offs[i] + r for i in range(nv) for r in range(d[i])]
-    g_pos = [offs[i] + d[i] + s for i in range(nv) for s in range(e[i])]
+    # one shift of the kernel factor per pair of orbit representatives, a on
+    # the block prefixes and b on the block suffixes, weighted by both orbits
     kernel, loopless = _kernel_factor(q, d, e)
-    core = f.poly.embed(n, f_pos) * g.poly.embed(n, g_pos) * kernel
+    kernel_terms = kernel.terms.items()
+    core: dict[tuple[int, ...], Coeff] = {}
+    for a, ca in f.coords.items():
+        wa = ca * _orbit_size(a)
+        for b, cb in g.coords.items():
+            w = wa * cb * _orbit_size(b)
+            shift = tuple(chain.from_iterable(map(add, a, b)))
+            for exp, c in kernel_terms:
+                key = tuple(map(add, exp, shift))
+                core[key] = core.get(key, 0) + w * c
 
     buckets: dict[Signature, Coeff] = {}
-    for exp, c in core.terms.items():
+    for exp, c in core.items():
         key = []
         for i in range(nv):
             block = exp[offs[i] : offs[i] + t[i]]
@@ -300,26 +319,43 @@ def _stabiliser_order(lam: tuple[int, ...]) -> int:
     return prod(factorial(m) for m in Counter(lam).values())
 
 
+def _orbit_size(sig: Signature) -> int:
+    """The number of distinct exponents in the block-permutation orbit of sig."""
+    return prod(factorial(len(lam)) // _stabiliser_order(lam) for lam in sig)
+
+
 @lru_cache(maxsize=4096)
 def _schur_to_monomial(lam: tuple[int, ...]) -> Expansion:
     """Pairs (mu, K_{lam,mu}) with s_lam = sum K_{lam,mu} m_mu in len(lam) variables."""
     pad = (0,) * len(lam)
     mus = (mu + pad[len(mu) :] for mu in _partitions_bounded_length(sum(lam), len(lam)))
-    return tuple((mu, k) for mu in mus if (k := _kostka(lam, mu)))
+    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    strips: dict[tuple[int, ...], dict[int, list[tuple[int, ...]]]] = {}
+    return tuple((mu, k) for mu in mus if (k := _kostka(lam, mu, memo, strips)))
 
 
-def _kostka(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
+def _kostka(lam: tuple[int, ...], mu: tuple[int, ...], memo: dict, strips: dict) -> int:
     """Semistandard tableaux of shape lam and content mu (equal lengths).
 
     The entries equal to the largest value len(mu) form a horizontal strip
     of size mu[-1]; stripping it leaves a shape nu interlacing lam,
-    lam[0] >= nu[0] >= lam[1] >= ... >= nu[-1] >= lam[-1].
+    lam[0] >= nu[0] >= lam[1] >= ... >= nu[-1] >= lam[-1].  memo holds the
+    numbers already counted, keyed by (shape, content), and strips the
+    shapes interlacing each shape, by size; the contents of one lam share
+    their prefixes, so one pair of tables serves them all.
     """
     if not mu:
         return 1
-    rest = sum(lam) - mu[-1]
-    strips = product(*(range(lam[k + 1], lam[k] + 1) for k in range(len(lam) - 1)))
-    return sum(_kostka(nu, mu[:-1]) for nu in strips if sum(nu) == rest)
+    k = memo.get((lam, mu))
+    if k is None:
+        by_size = strips.get(lam)
+        if by_size is None:
+            by_size = strips[lam] = {}
+            for nu in product(*(range(lam[j + 1], lam[j] + 1) for j in range(len(lam) - 1))):
+                by_size.setdefault(sum(nu), []).append(nu)
+        nus = by_size.get(sum(lam) - mu[-1], ())
+        k = memo[lam, mu] = sum(_kostka(nu, mu[:-1], memo, strips) for nu in nus)
+    return k
 
 
 # -- graded slices in the monomial symmetric basis --------------------------------

@@ -10,6 +10,7 @@ is the independent phi oracle of checks.py, the tests and the benchmark.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -28,7 +29,7 @@ class MultiPartition:
 
     def __post_init__(self):
         for lam in self.parts:
-            if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
+            if any(map(operator.lt, lam, lam[1:])):
                 raise CellError(f"not weakly decreasing: {lam}")
             if lam and lam[-1] < 0:
                 raise CellError("negative part")

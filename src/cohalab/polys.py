@@ -175,16 +175,6 @@ class Poly:
             out[tuple(exp[j] for j in inverse)] = c
         return Poly(n, out)
 
-    def embed(self, nvars: int, positions: list[int]) -> "Poly":
-        """View self in a larger ring, variable i going to slot positions[i]."""
-        out: dict[Exponent, Coeff] = {}
-        for exp, c in self.terms.items():
-            new = [0] * nvars
-            for i, e in enumerate(exp):
-                new[positions[i]] = e
-            out[tuple(new)] = c
-        return Poly(nvars, out)
-
     def set_vars_zero(self, indices: Iterable[int]) -> "Poly":
         """Substitute 0 for the given variables (drop every term using them)."""
         dead = set(indices)

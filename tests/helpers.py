@@ -36,6 +36,17 @@ def substitute(p: Poly, values: Mapping[int, Poly]) -> Poly:
     return result
 
 
+def embed(p: Poly, nvars: int, positions: list[int]) -> Poly:
+    """View p in a larger ring, variable i going to slot positions[i]."""
+    out = {}
+    for exp, c in p.terms.items():
+        new = [0] * nvars
+        for i, e in enumerate(exp):
+            new[positions[i]] = e
+        out[tuple(new)] = c
+    return Poly(nvars, out)
+
+
 def evaluate(p: Poly, point: list[Fraction]) -> Fraction:
     total = Fraction(0)
     for exp, c in p.terms.items():
@@ -283,7 +294,7 @@ def per_shuffle_product(f: SymPoly, g: SymPoly) -> Poly:
     f_pos = [offs[i] + r for i in range(nv) for r in range(d[i])]
     g_pos = [offs[i] + d[i] + s for i in range(nv) for s in range(e[i])]
     fp, gp = f.poly, g.poly
-    core = fp.embed(n, f_pos) * gp.embed(n, g_pos)
+    core = embed(fp, n, f_pos) * embed(gp, n, g_pos)
 
     units = [unit_vector(q, i) for i in range(nv)]
     chi = [[euler_form(q, units[i], units[j]) for j in range(nv)] for i in range(nv)]

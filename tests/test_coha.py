@@ -79,6 +79,29 @@ def test_orbit_product_matches_per_shuffle_oracle(fq, dims, max_total):
 @pytest.mark.parametrize(
     "fq, dims, max_total", [f[1:] for f in SHUFFLE_FIXTURES], ids=[f[0] for f in SHUFFLE_FIXTURES]
 )
+def test_shuffle_product_never_expands_orbits(fq, dims, max_total, monkeypatch):
+    # the core is built from coordinates and orbit sizes alone
+    rng = Random(5)
+    pairs = []
+    for d in dims:
+        for e in dims:
+            if sum(d) + sum(e) <= max_total:
+                f = random_fraction_element(fq, d, 2, rng)
+                pairs.append((f, random_fraction_element(fq, e, 2, rng)))
+    want = [per_shuffle_product(f, g) for f, g in pairs]
+
+    def expand(self):
+        raise AssertionError("SymPoly.poly called")
+
+    monkeypatch.setattr(SymPoly, "poly", property(expand))
+    got = [shuffle_product(f, g) for f, g in pairs]
+    monkeypatch.undo()
+    assert [p.poly for p in got] == want
+
+
+@pytest.mark.parametrize(
+    "fq, dims, max_total", [f[1:] for f in SHUFFLE_FIXTURES], ids=[f[0] for f in SHUFFLE_FIXTURES]
+)
 def test_cup_product_matches_polynomial_oracle(fq, dims, max_total):
     rng = Random(31)
     for d in dims:
@@ -240,8 +263,8 @@ def test_kernel_dims_two_loop_d6(two_loop):
 
 def test_kernel_dims_two_loop_d7(two_loop):
     # golden values; the full sweep, n=0..21, is recorded in ROADMAP.md
-    dims = [kernel_graded_piece(two_loop, (7,), n).dim for n in range(14)]
-    assert dims == [0, 0, 0, 0, 0, 0, 0, 2, 3, 6, 10, 17, 28, 42]
+    dims = [kernel_graded_piece(two_loop, (7,), n).dim for n in range(18)]
+    assert dims == [0, 0, 0, 0, 0, 0, 0, 2, 3, 6, 10, 17, 28, 42, 61, 88, 124, 166]
 
 
 def test_kernel_dims_loopless_kostka_sizes():
