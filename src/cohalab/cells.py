@@ -4,8 +4,9 @@ A cell label is a finite lower-closed path set (a subtree of the path
 tree) with prescribed per-vertex counts.  This module enumerates labels,
 computes critical sets and cell dimensions, classifies explicit rational
 representations into cells, and tests degeneracy-locus membership, all in
-exact arithmetic.  Classification here and the partition-to-tree direction
-of the bijection are both greedy growth by grow_subtree.
+exact arithmetic.  classify grows its label greedily along one keyed
+critical list; the partition-to-tree direction of the bijection
+(partitions.partition_to_tree) keeps one such list per vertex instead.
 """
 
 from __future__ import annotations
@@ -162,33 +163,6 @@ def adjoin(
     return crit
 
 
-def grow_subtree(fq: FramedQuiver, order: PathOrder, total: int, accept) -> Subtree | None:
-    """Greedy growth from the root by total steps; None when a step stalls.
-
-    Each step walks the ascending critical list of (key, path) pairs (see
-    adjoin) and adjoins the first v with accept(v, i, seen), where i is
-    the target of v and seen counts the critical paths at i before v.  The
-    first True adjoins v, so accept may record the choice whenever it
-    returns True.
-    """
-    targets = fq.targets
-    chain = [ROOT]
-    crit = adjoin(fq, order, [], ROOT)
-    for _ in range(total):
-        seen = [0] * fq.vertex_count
-        for idx, (_, v) in enumerate(crit):
-            i = targets[v[-1]]
-            if accept(v, i, seen[i]):
-                break
-            seen[i] += 1
-        else:
-            return None
-        chain.append(v)
-        del crit[idx]
-        adjoin(fq, order, crit, v)
-    return Subtree(tuple(order.sort(chain)))
-
-
 def enumerate_trees(
     fq: FramedQuiver, d: DimVector, order: PathOrder
 ) -> list[Subtree]:
@@ -316,22 +290,29 @@ def make_rep(fq: FramedQuiver, d: DimVector, entries) -> NumericRep:
 def classify(fq: FramedQuiver, m: NumericRep, order: PathOrder) -> Subtree:
     """The unique cell label of a stable representation.
 
-    Greedy growth (grow_subtree): adjoin the order-minimal critical path
-    whose vector falls outside the span of the vectors collected so far at
-    its vertex, while that vertex's span is short of d_i.  Only monomial
+    Greedy growth from the root: each step walks the ascending critical
+    list of (key, path) pairs (see adjoin) and adjoins the first path whose
+    vector falls outside the span of the vectors collected so far at its
+    vertex, while that vertex's span is short of d_i.  Only monomial
     orders make the greedy step valid.
     """
     if not order.is_monomial:
         raise CellError("classify requires a monomial order (shortlex kinds)")
     spans = [Span(di) for di in m.d]
-
-    def accept(v: Path, i: int, seen: int) -> bool:
-        return spans[i].rank < m.d[i] and spans[i].add(m.path_vector(v))
-
-    tree = grow_subtree(fq, order, sum(m.d), accept)
-    if tree is None:
-        raise CellError("not stable: framing does not generate the representation")
-    return tree
+    targets = fq.targets
+    chain = [ROOT]
+    crit = adjoin(fq, order, [], ROOT)
+    for _ in range(sum(m.d)):
+        for idx, (_, v) in enumerate(crit):
+            i = targets[v[-1]]
+            if spans[i].rank < m.d[i] and spans[i].add(m.path_vector(v)):
+                break
+        else:
+            raise CellError("not stable: framing does not generate the representation")
+        chain.append(v)
+        del crit[idx]
+        adjoin(fq, order, crit, v)
+    return Subtree(tuple(order.sort(chain)))
 
 
 def in_cell(fq: FramedQuiver, m: NumericRep, s: Subtree, order: PathOrder) -> bool:

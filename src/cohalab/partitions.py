@@ -3,22 +3,26 @@
 A multipartition assigns to each vertex a weakly decreasing tuple of
 naturals of length d_i (trailing zeros kept internally, suppressed in
 display).  Production labels are read off the shortlex subtrees through
-the bijection (cell_labels).  enumerate_partitions brute-forces them from
-the box-counting condition satisfies_phi alone, never touching trees: it
-is the independent phi oracle of checks.py, the tests and the benchmark.
+the bijection (cell_labels); partition_to_tree inverts it by reading one
+index per vertex off per-vertex critical lists.  enumerate_partitions
+brute-forces the labels from the box-counting condition alone, tested on
+raw tuples against a per-box table that satisfies_phi reads as well, and
+never touches trees: it is the independent phi oracle of checks.py, the
+tests and the benchmark.
 """
 
 from __future__ import annotations
 
+import bisect
 import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate, combinations_with_replacement, product
 
-from .cells import CellError, Subtree, critical_set, enumerate_trees, grow_subtree
-from .paths import Path, PathOrder, path_target
-from .quiver import DimVector, FramedQuiver, check_dim, parse_number
+from .cells import CellError, Subtree, critical_set, enumerate_trees
+from .paths import ROOT, PathOrder, path_target
+from .quiver import INF_VERTEX, DimVector, FramedQuiver, check_dim, parse_number
 
 
 @dataclass(frozen=True)
@@ -72,30 +76,37 @@ def satisfies_phi(fq: FramedQuiver, d: DimVector, lam: MultiPartition) -> bool:
     d = check_dim(fq.base, d)
     if lam.shape() != d:
         raise CellError("partition shape does not match the dimension vector")
-    for beta, c in _critical_table(fq, d):
-        ok = False
-        for i in range(fq.vertex_count):
-            e = lam.entry(i, d[i] - beta[i])
-            if e is not None and e < c[i]:
-                ok = True
+    return _phi_holds(_phi_table(fq, d), lam.parts)
+
+
+def _phi_holds(table: tuple, parts: tuple[tuple[int, ...], ...]) -> bool:
+    """The phi condition on raw per-vertex tuples of the box's shape."""
+    for witnesses in table:
+        for i, j, c in witnesses:
+            if parts[i][j] < c:
                 break
-        if not ok:
+        else:
             return False
     return True
 
 
 @lru_cache(maxsize=64)
-def _critical_table(fq: FramedQuiver, d: DimVector) -> tuple:
-    """The pairs (beta, c(beta)) over the box 0 <= beta <= d, beta != d.
+def _phi_table(fq: FramedQuiver, d: DimVector) -> tuple:
+    """Per beta in the box 0 <= beta <= d, beta != d, its possible witnesses.
 
-    c(beta) does not depend on the partition under test, so the table is
-    built once per box and every satisfies_phi call over it reads it here.
+    Vertex i witnesses beta when parts[i][j] < c(beta)_i with j = d_i -
+    beta_i - 1, so beta holds the triples (i, j, c(beta)_i); a vertex with
+    beta_i = d_i has the +infinity entry and is left out.  c(beta) does not
+    depend on the partition under test, so the table is built once per box.
     """
-    return tuple(
-        (beta, fq.critical_dim_vector(beta))
-        for beta in product(*(range(x + 1) for x in d))
-        if beta != d
-    )
+    table = []
+    for beta in product(*(range(x + 1) for x in d)):
+        if beta != d:
+            c = fq.critical_dim_vector(beta)
+            table.append(
+                tuple((i, x - b - 1, c[i]) for i, (x, b) in enumerate(zip(d, beta)) if b < x)
+            )
+    return tuple(table)
 
 
 def partition_sort_key(lam: MultiPartition):
@@ -115,42 +126,25 @@ def compare_partitions(lam: MultiPartition, mu: MultiPartition) -> int:
     return -1 if a < b else (0 if a == b else 1)
 
 
-def _vertex_partitions(max_part: int, length: int):
-    """The phi oracle's per-vertex box: weakly decreasing tuples, parts <= max_part."""
-    if length == 0:
-        yield ()
-        return
-
-    def rec(prefix, remaining, cap):
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        for p in range(cap, -1, -1):
-            prefix.append(p)
-            yield from rec(prefix, remaining - 1, p)
-            prefix.pop()
-
-    yield from rec([], length, max_part)
-
-
 def enumerate_partitions(fq: FramedQuiver, d: DimVector) -> list[MultiPartition]:
     """All cell labels in the canonical order, by the phi brute force kept
     for checks.py, the tests and the benchmark (production uses cell_labels).
 
-    The bounded box (first parts at vertex i capped by max(0, c(d)_i))
-    filtered by satisfies_phi; never touches trees, so it checks them.
+    The bounded box (weakly decreasing tuples at vertex i with parts capped
+    by max(0, c(d)_i)) filtered by the phi table on the raw tuples; only
+    accepted labels become MultiPartitions.  Never touches trees, so it
+    checks them.
     """
     d = check_dim(fq.base, d)
+    if any(x < 0 for x in d):
+        raise CellError("dimension vector must be non-negative")
     c = fq.critical_dim_vector(d)
-    per_vertex = [
-        list(_vertex_partitions(max(0, c[i]), d[i]))
+    table = _phi_table(fq, d)
+    box = (
+        combinations_with_replacement(range(max(0, c[i]), -1, -1), d[i])
         for i in range(fq.vertex_count)
-    ]
-    found = []
-    for combo in product(*per_vertex):
-        lam = MultiPartition(tuple(combo))
-        if satisfies_phi(fq, d, lam):
-            found.append(lam)
+    )
+    found = [MultiPartition(parts) for parts in product(*box) if _phi_holds(table, parts)]
     found.sort(key=partition_sort_key)
     return found
 
@@ -195,29 +189,38 @@ def partition_to_tree(
 ) -> Subtree:
     """Inverse direction of the bijection, by greedy growth.
 
-    With counts beta adjoined so far, vertex i accepts its critical path
-    of index m = lambda^{(i)}_{d_i - beta_i} (counted from 0), and
-    grow_subtree adjoins the order-minimal accepted path.  Vertex i has
-    exactly c(beta)_i critical paths, so an index m >= c(beta)_i is never
-    reached; a full vertex (index 0, the sentinel) accepts nothing.  The
-    growth stalls exactly when the partition fails the labelling condition.
+    Each vertex keeps its ascending list of (order.key(path), path)
+    critical pairs.  With counts beta adjoined so far, vertex i nominates
+    the entry of index m = lambda^{(i)}_{d_i - beta_i} of its list, and the
+    order-minimal nominee joins the tree; its children are bisected into
+    the lists of their targets.  Vertex i has exactly c(beta)_i critical
+    paths, so an index m >= c(beta)_i nominates nothing, and neither does
+    a full vertex (index 0, the sentinel).  The growth stalls exactly when
+    the partition fails the labelling condition.
     """
-    d = lam.shape()
-    counts = [0] * fq.vertex_count
-    # the index vertex i accepts, refreshed only when vertex i gains a path
-    want = [lam.entry(i, d[i]) for i in range(fq.vertex_count)]
-
-    def accept(v: Path, i: int, seen: int) -> bool:
-        if seen != want[i]:
-            return False
-        counts[i] += 1
-        want[i] = lam.entry(i, d[i] - counts[i])
-        return True
-
-    tree = grow_subtree(fq, order, sum(d), accept)
-    if tree is None:
-        raise CellError("partition does not label a cell (construction stalls)")
-    return tree
+    d = check_dim(fq.base, lam.shape())
+    key, targets, out_arrows = order.key, fq.targets, fq.out_arrows
+    crit: list[list[tuple]] = [[] for _ in d]
+    left = list(d)
+    chain = [ROOT]
+    v = ROOT
+    for _ in range(sum(d)):
+        for a in out_arrows[targets[v[-1]] if v else INF_VERTEX]:
+            u = v + (a,)
+            bisect.insort(crit[targets[a]], (key(u), u))
+        best = None
+        for i, (parts, crit_i, n) in enumerate(zip(lam.parts, crit, left)):
+            if n and parts[n - 1] < len(crit_i):
+                m = parts[n - 1]
+                if best is None or crit_i[m] < best[0]:
+                    best = (crit_i[m], i, m)
+        if best is None:
+            raise CellError("partition does not label a cell (construction stalls)")
+        (_, v), i, m = best
+        del crit[i][m]
+        left[i] -= 1
+        chain.append(v)
+    return Subtree(tuple(order.sort(chain)))
 
 
 def partition_cell_dim(fq: FramedQuiver, d: DimVector, lam: MultiPartition) -> int:

@@ -5,7 +5,7 @@ oracles."""
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from typing import Mapping
 
 from cohalab.cells import CellError, NumericRep, Subtree, critical_set, make_subtree, udim
@@ -406,12 +406,27 @@ def oracle_fixtures() -> list[tuple[str, FramedQuiver, list[tuple[int, ...]]]]:
     """Quivers and dimension vectors on which the oracles are compared."""
     a2_11 = FramedQuiver(Quiver.make(2, [("a", 0, 1)]), (1, 1), ["f", "g"])
     a2_dims = list(product(range(4), repeat=2))
+    # two vertices that feed each other: both can nominate at one step, and
+    # the tree order is not the label order
+    two_cycle = FramedQuiver(Quiver.make(2, [("a", 0, 1), ("b", 1, 0)]), (1, 1))
     return [
         ("two-loop", framed_loops(2, 1), [(d,) for d in range(6)]),
         ("a2-w20", framed_a2(2), a2_dims),
         ("a2-w11", a2_11, a2_dims),
         ("point-w4", vertex_only(4), [(d,) for d in range(5)]),
+        ("two-cycle", two_cycle, list(product(range(5), repeat=2))),
     ]
+
+
+def phi_box(fq: FramedQuiver, d: tuple[int, ...]) -> list[MultiPartition]:
+    """The box enumerate_partitions filters: per vertex i, the weakly
+    decreasing d_i-tuples with parts at most max(0, c(d)_i), labels or not."""
+    c = fq.critical_dim_vector(d)
+    per_vertex = [
+        combinations_with_replacement(range(max(0, c[i]), -1, -1), d[i])
+        for i in range(fq.vertex_count)
+    ]
+    return [MultiPartition(parts) for parts in product(*per_vertex)]
 
 
 def oracle_orders(fq: FramedQuiver) -> tuple[PathOrder, ...]:

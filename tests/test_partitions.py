@@ -11,6 +11,7 @@ from cohalab import (
     FramedQuiver,
     PathOrder,
     Quiver,
+    QuiverError,
     cell_dim,
     cell_labels,
     compare_partitions,
@@ -31,9 +32,9 @@ from cohalab import (
 from cohalab import partitions
 from cohalab.checks import roundtrip_fixtures
 from cohalab.coha import verify_basis
-from cohalab.partitions import MultiPartition, _vertex_partitions
+from cohalab.partitions import MultiPartition
 from conftest import framed_loops, vertex_only
-from helpers import oracle_fixtures, oracle_orders, partition_to_tree_by_nominees
+from helpers import oracle_fixtures, oracle_orders, partition_to_tree_by_nominees, phi_box
 
 
 def phi_oracle(fq, d, lam):
@@ -92,6 +93,12 @@ def test_enumerate_partitions_d0(two_loop):
     assert len(lams) == 1 and lams[0].size == 0
 
 
+def test_enumerate_partitions_rejects_negative(two_loop, a2):
+    for fq, d in [(two_loop, (-1,)), (a2, (1, -2))]:
+        with pytest.raises(CellError, match="must be non-negative"):
+            enumerate_partitions(fq, d)
+
+
 def test_entry_bound(two_loop, a2):
     for fq, dims in [(two_loop, [(2,), (3,)]), (a2, [(1, 1), (2, 1)])]:
         for d in dims:
@@ -123,6 +130,13 @@ def test_partition_to_tree_rejects_nonlabel(two_loop, shortlex):
     lam = make_partition(two_loop, (3,), [(3,)])
     with pytest.raises(CellError):
         partition_to_tree(two_loop, lam, shortlex)
+
+
+def test_partition_to_tree_rejects_other_quiver(two_loop, shortlex):
+    # one group per vertex, as satisfies_phi requires
+    for lam in [MultiPartition(()), MultiPartition(((1, 0), (0,)))]:
+        with pytest.raises(QuiverError):
+            partition_to_tree(two_loop, lam, shortlex)
 
 
 @pytest.mark.parametrize("kind", ["shortlex", "lex"])
@@ -282,6 +296,21 @@ def test_phi_agrees_with_oracle_random(parts):
     assert satisfies_phi(fq, (3,), lam) == phi_oracle(fq, (3,), lam)
 
 
+@pytest.mark.parametrize(
+    "name, fq, dims", [pytest.param(*f, id=f[0]) for f in oracle_fixtures()]
+)
+def test_phi_table_matches_oracle_on_boxes(name, fq, dims):
+    # the (i, j, c) indexing and the sentinel skip, vertex by vertex, d=0 included
+    labels = 0
+    for d in dims:
+        box = phi_box(fq, d)
+        accepted = [lam for lam in box if phi_oracle(fq, d, lam)]
+        assert [lam for lam in box if satisfies_phi(fq, d, lam)] == accepted
+        assert enumerate_partitions(fq, d) == sorted(accepted, key=partitions.partition_sort_key)
+        labels += len(accepted)
+    assert labels > 0
+
+
 def tree_or_error(build, fq, lam, order):
     try:
         return build(fq, lam, order)
@@ -296,11 +325,9 @@ def test_partition_to_tree_matches_nominee_oracle(name, fq, dims):
     # every multipartition in the enumerate_partitions box, labels or not
     labels = 0
     for d in dims:
-        c = fq.critical_dim_vector(d)
-        box = [list(_vertex_partitions(max(0, c[i]), d[i])) for i in range(fq.vertex_count)]
+        box = phi_box(fq, d)
         for order in oracle_orders(fq):
-            for combo in product(*box):
-                lam = MultiPartition(tuple(combo))
+            for lam in box:
                 got = tree_or_error(partition_to_tree, fq, lam, order)
                 assert got == tree_or_error(partition_to_tree_by_nominees, fq, lam, order)
                 labels += got is not CellError
