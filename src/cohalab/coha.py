@@ -13,8 +13,9 @@ of an orbit sum m_a contributes what its orbit representative x^a does,
 and the core is one shift of the cached kernel factor per pair of
 coordinates, weighted by both orbit sizes.  One pass over the core sums
 each orbit back into coordinates, loopless blocks through Schur
-coordinates (the bialternant formula absorbs the Vandermonde denominator)
-and Kostka numbers.  Nothing is permuted per shuffle, the only polynomial
+coordinates (the bialternant formula absorbs the Vandermonde denominator),
+expanded into monomial-symmetric ones by tables built bottom-up from the
+branching rule.  Nothing is permuted per shuffle, the only polynomial
 products build the kernel factor once per (quiver, d, e), and the only
 division is the one by d! e! per coordinate.  Integer inputs stay int
 throughout.
@@ -252,7 +253,7 @@ def shuffle_product(f: SymPoly, g: SymPoly) -> SymPoly:
     delta = (t-1, ..., 0), by the bialternant formula
     s_mu = a_{mu+delta} / a_delta (Macdonald, Symmetric Functions and Hall
     Polynomials, I.3); it carries (-1)^C(t,2) because V_t is
-    (-1)^C(t,2) a_delta, and Kostka numbers expand it into m_mu.
+    (-1)^C(t,2) a_delta, and _schur_to_monomial expands it into m_mu.
     """
     if f.fq != g.fq:
         raise CohaError("elements live over different quivers")
@@ -314,6 +315,7 @@ def shuffle_product(f: SymPoly, g: SymPoly) -> SymPoly:
     return result
 
 
+@lru_cache(maxsize=4096)
 def _stabiliser_order(lam: tuple[int, ...]) -> int:
     """|Stab lam| in the symmetric group: the product of multiplicities factorial."""
     return prod(factorial(m) for m in Counter(lam).values())
@@ -326,36 +328,27 @@ def _orbit_size(sig: Signature) -> int:
 
 @lru_cache(maxsize=4096)
 def _schur_to_monomial(lam: tuple[int, ...]) -> Expansion:
-    """Pairs (mu, K_{lam,mu}) with s_lam = sum K_{lam,mu} m_mu in len(lam) variables."""
-    pad = (0,) * len(lam)
-    mus = (mu + pad[len(mu) :] for mu in _partitions_bounded_length(sum(lam), len(lam)))
-    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    strips: dict[tuple[int, ...], dict[int, list[tuple[int, ...]]]] = {}
-    return tuple((mu, k) for mu in mus if (k := _kostka(lam, mu, memo, strips)))
+    """Pairs (mu, K_{lam,mu}) with s_lam = sum K_{lam,mu} m_mu in len(lam) variables.
 
-
-def _kostka(lam: tuple[int, ...], mu: tuple[int, ...], memo: dict, strips: dict) -> int:
-    """Semistandard tableaux of shape lam and content mu (equal lengths).
-
-    The entries equal to the largest value len(mu) form a horizontal strip
-    of size mu[-1]; stripping it leaves a shape nu interlacing lam,
-    lam[0] >= nu[0] >= lam[1] >= ... >= nu[-1] >= lam[-1].  memo holds the
-    numbers already counted, keyed by (shape, content), and strips the
-    shapes interlacing each shape, by size; the contents of one lam share
-    their prefixes, so one pair of tables serves them all.
+    By the branching rule s_lam(x_1..x_t) = sum over nu interlacing lam,
+    lam[0] >= nu[0] >= lam[1] >= ... >= nu[-1] >= lam[-1], of
+    s_nu(x_1..x_{t-1}) x_t^(|lam| - |nu|) (Macdonald, Symmetric Functions
+    and Hall Polynomials, I (5.11)).  Read at the weakly decreasing
+    exponent mu + (m,), this says K_{lam, mu + (m,)} is the sum of
+    K_{nu,mu} over the nu with |lam| - |nu| = m, where mu[-1] >= m.  The
+    shorter shapes are cached and shared, and only the mu with
+    K_{lam,mu} != 0 ever appear.
     """
-    if not mu:
-        return 1
-    k = memo.get((lam, mu))
-    if k is None:
-        by_size = strips.get(lam)
-        if by_size is None:
-            by_size = strips[lam] = {}
-            for nu in product(*(range(lam[j + 1], lam[j] + 1) for j in range(len(lam) - 1))):
-                by_size.setdefault(sum(nu), []).append(nu)
-        nus = by_size.get(sum(lam) - mu[-1], ())
-        k = memo[lam, mu] = sum(_kostka(nu, mu[:-1], memo, strips) for nu in nus)
-    return k
+    if len(lam) <= 1:
+        return ((lam, 1),)
+    size = sum(lam)
+    out: dict[tuple[int, ...], int] = {}
+    for nu in product(*(range(lam[j + 1], lam[j] + 1) for j in range(len(lam) - 1))):
+        m = size - sum(nu)
+        for mu, k in _schur_to_monomial(nu):
+            if mu[-1] >= m:
+                out[mu + (m,)] = out.get(mu + (m,), 0) + k
+    return tuple(out.items())
 
 
 # -- graded slices in the monomial symmetric basis --------------------------------
@@ -455,12 +448,16 @@ def kernel_graded_piece(fq: FramedQuiver, d: DimVector, n: int) -> GradedSubspac
         if budget < 0:
             continue
         for p in range(budget + 1):
+            # e_w cup m_sig is m_{sig + w}
+            shifted = (
+                tuple(tuple(x + w for x in lam) for w, lam in zip(fq.framing, sig))
+                for sig in slice_basis(dprime, budget - p)
+            )
+            gpolys = [monomial_symmetric(fq, dprime, sig) for sig in shifted]
             for sig_f in slice_basis(rest, p):
                 fpoly = monomial_symmetric(fq, rest, sig_f)
-                for sig_g in slice_basis(dprime, budget - p):
-                    # e_w cup m_sig is m_{sig + w}
-                    shifted = tuple(tuple(x + w for x in lam) for w, lam in zip(fq.framing, sig_g))
-                    gen = shuffle_product(fpoly, monomial_symmetric(fq, dprime, shifted))
+                for gpoly in gpolys:
+                    gen = shuffle_product(fpoly, gpoly)
                     if gen.is_zero():
                         continue
                     if gen.degree() != n:

@@ -42,13 +42,6 @@ class MultiPartition:
     def size(self) -> int:
         return sum(sum(lam) for lam in self.parts)
 
-    def entry(self, i: int, k: int) -> int | None:
-        """lambda^{(i)}_k with index 0 meaning the +infinity sentinel (None)."""
-        if k == 0:
-            return None
-        lam = self.parts[i]
-        return lam[k - 1] if k <= len(lam) else 0
-
     def shape(self) -> tuple[int, ...]:
         return tuple(len(lam) for lam in self.parts)
 

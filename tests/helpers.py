@@ -175,6 +175,14 @@ def partition_to_tree_by_nominees(
     critical slice, and the order-minimal nominee joins the tree.  Stalls
     exactly when the partition fails the labelling condition.
     """
+
+    def entry(i: int, k: int) -> int | None:
+        """lambda^{(i)}_k with index 0 meaning the +infinity sentinel (None)."""
+        if k == 0:
+            return None
+        parts = lam.parts[i]
+        return parts[k - 1] if k <= len(parts) else 0
+
     d = lam.shape()
     total = sum(d)
     chain: list[Path] = [ROOT]
@@ -186,7 +194,7 @@ def partition_to_tree_by_nominees(
         nominee: Path | None = None
         nominee_vertex = None
         for i in range(fq.vertex_count):
-            m = lam.entry(i, d[i] - beta[i])
+            m = entry(i, d[i] - beta[i])
             if m is None or m >= c[i]:
                 continue
             crit_i = [v for v in crit if path_target(fq, v) == i]
@@ -356,6 +364,29 @@ def per_shuffle_product(f: SymPoly, g: SymPoly) -> Poly:
         if total.degree() > expected or (homogeneous and total.degree() != expected):
             raise AssertionError("shuffle product broke the degree law")
     return total
+
+
+def kostka_by_tableaux(lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """K_{lam,mu} for every partition mu of len(lam) parts: the semistandard
+    tableaux of shape lam with entries 1..len(lam), counted by content."""
+    t = len(lam)
+    counts: dict[tuple[int, ...], int] = {}
+
+    def fill(r: int, above: tuple[int, ...], content: list[int]):
+        if r == t or lam[r] == 0:
+            if content == sorted(content, reverse=True):
+                counts[tuple(content)] = counts.get(tuple(content), 0) + 1
+            return
+        for row in combinations_with_replacement(range(t), lam[r]):
+            if all(a < b for a, b in zip(above, row)):
+                for x in row:
+                    content[x] += 1
+                fill(r + 1, row, content)
+                for x in row:
+                    content[x] -= 1
+
+    fill(0, (), [0] * t)
+    return counts
 
 
 def poly_cup_product(f: SymPoly, g: SymPoly) -> Poly:

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from random import Random
 
 import pytest
@@ -22,12 +22,13 @@ from cohalab import (
     unit,
     verify_basis,
 )
-from cohalab.coha import SymPoly, _row
+from cohalab.coha import SymPoly, _row, _schur_to_monomial
 from cohalab.linalg import rref
 from cohalab.polys import Poly
 from conftest import framed_a2, framed_loops, vertex_only
 from helpers import (
     SHUFFLE_FIXTURES,
+    kostka_by_tableaux,
     per_shuffle_product,
     poly_coordinates,
     poly_cup_product,
@@ -267,15 +268,27 @@ def test_kernel_dims_two_loop_d7(two_loop):
     assert dims == [0, 0, 0, 0, 0, 0, 0, 2, 3, 6, 10, 17, 28, 42, 61, 88, 124, 166]
 
 
+def test_schur_to_monomial_matches_tableaux():
+    # every shape with at most 5 parts, zeros included, and |lam| <= 8
+    for t in range(6):
+        for lam in combinations_with_replacement(range(8, -1, -1), t):
+            if sum(lam) <= 8:
+                assert dict(_schur_to_monomial(lam)) == kostka_by_tableaux(lam), lam
+
+
 def test_kernel_dims_loopless_kostka_sizes():
-    # golden values where Kostka numbers exceed 1 (loopless blocks of size 4, 5)
-    reports = [verify_basis(vertex_only(7), (4,), n) for n in range(14)]
-    assert [r.kernel_dim for r in reports] == [
-        0, 0, 0, 0, 1, 2, 4, 7, 11, 15, 21, 26, 33, 39
+    # golden values where Kostka numbers exceed 1 (loopless blocks of size 4, 5):
+    # full sweeps of the Grassmannians Gr(4,7) and Gr(5,8)
+    cases = [
+        (7, 4, [0, 0, 0, 0, 1, 2, 4, 7, 11, 15, 21, 26, 33, 39]),
+        (8, 5, [0, 0, 0, 0, 1, 2, 4, 7, 12, 17, 25, 33, 44, 55, 69, 83]),
     ]
-    assert all(r.independent for r in reports)
-    coeffs = gaussian_binomial(7, 4).as_dict()
-    assert [r.quotient_dim for r in reports] == [coeffs.get(n, 0) for n in range(14)]
+    for w, k, dims in cases:
+        reports = [verify_basis(vertex_only(w), (k,), n) for n in range(len(dims))]
+        assert [r.kernel_dim for r in reports] == dims
+        assert all(r.independent for r in reports)
+        coeffs = gaussian_binomial(w, k).as_dict()
+        assert [r.quotient_dim for r in reports] == [coeffs.get(n, 0) for n in range(len(dims))]
     a2 = framed_a2(3)
     assert [kernel_graded_piece(a2, (3, 2), n).dim for n in range(4)] == [0, 1, 4, 9]
 
