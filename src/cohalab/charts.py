@@ -9,45 +9,93 @@ multiplicity with which the locus meets its closure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .cells import (
-    CellError,
-    NumericRep,
-    Subtree,
-    cell_dim,
-    critical_set,
-    udim,
-)
+from .cells import CellError, CriticalSet, NumericRep, Subtree, critical_set
 from .paths import Path, PathOrder, format_path, parent, path_target
 from .polys import Coeff, Poly, det_bareiss, normal
 from .quiver import INF_VERTEX, FramedQuiver
 
 
+def _pair_name(fq: FramedQuiver, pair: tuple[Path, Path]) -> str:
+    u, v = pair
+    return f"c[{format_path(fq, u)},{format_path(fq, v)}]"
+
+
 @dataclass(frozen=True)
 class Chart:
-    """Affine chart of a basis subtree: coordinate index plus cached data."""
+    """Affine chart of a basis subtree, read off its critical set once.
+
+    coords lists the (basis path, critical path) pairs at a common vertex,
+    by vertex, then critical path; var_of indexes them.
+    """
 
     fq: FramedQuiver
     tree: Subtree
     order: PathOrder
     coords: tuple[tuple[Path, Path], ...]
+    crit: CriticalSet = field(compare=False, repr=False)
+    var_of: dict = field(compare=False, repr=False)
+    _vectors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def nvars(self) -> int:
         return len(self.coords)
 
     def var_index(self, u: Path, v: Path) -> int:
-        return self.coords.index((u, v))
+        k = self.var_of.get((u, v))
+        if k is None:
+            raise CellError(f"{_pair_name(self.fq, (u, v))} is not a chart coordinate")
+        return k
 
     def coord_name(self, index: int) -> str:
-        u, v = self.coords[index]
-        return f"c[{format_path(self.fq, u)},{format_path(self.fq, v)}]"
+        return _pair_name(self.fq, self.coords[index])
 
     def format_poly(self, p: Poly) -> str:
         return p.format(self.coord_name)
+
+    def vector(self, v: Path) -> list[Poly]:
+        """Coordinates of the path vector of v in the chart basis at its
+        vertex, memoised: units on the basis, c[u,v] on critical paths."""
+        i = path_target(self.fq, v)
+        if i == INF_VERTEX:
+            raise CellError("path ends at the framing vertex")
+        out = self._vectors.get(v)
+        if out is not None:
+            return out
+        basis = self.crit.slices[i]
+        n = self.nvars
+        if v in basis:
+            out = [Poly.const(n, 1) if u == v else Poly.zero(n) for u in basis]
+        elif v in self.crit.paths:
+            out = [Poly.variable(n, self.var_of[(u, v)]) for u in basis]
+        else:
+            u, a = parent(v), v[-1]
+            inner = self.vector(u)
+            out = [Poly.zero(n) for _ in basis]
+            for k, u_k in enumerate(self.crit.slices[path_target(self.fq, u)]):
+                if inner[k].is_zero():
+                    continue
+                column = self.vector(u_k + (a,))
+                for j in range(len(out)):
+                    if not column[j].is_zero():
+                        out[j] = out[j] + inner[k] * column[j]
+        self._vectors[v] = out
+        return out
+
+
+def make_chart(fq: FramedQuiver, s: Subtree, order: PathOrder) -> Chart:
+    crit = critical_set(fq, s, order)
+    coords = tuple(
+        (u, v)
+        for i, basis_i in enumerate(crit.slices)
+        for v in crit.paths
+        if path_target(fq, v) == i
+        for u in basis_i
+    )
+    return Chart(fq, s, order, coords, crit, {pair: k for k, pair in enumerate(coords)})
 
 
 def chart_coordinates(
@@ -57,95 +105,31 @@ def chart_coordinates(
 
     The count equals the chart dimension, which is the moduli dimension.
     """
-    crit = critical_set(fq, s, order)
-    return [
-        (u, v)
-        for i, basis_i in enumerate(crit.slices)
-        for v in crit.paths
-        if path_target(fq, v) == i
-        for u in basis_i
-    ]
-
-
-def make_chart(fq: FramedQuiver, s: Subtree, order: PathOrder) -> Chart:
-    return Chart(fq, s, order, tuple(chart_coordinates(fq, s, order)))
-
-
-class _SymbolicExpander:
-    """Memoized expansion of path vectors in a chart basis."""
-
-    def __init__(self, chart: Chart):
-        self.chart = chart
-        self.fq = chart.fq
-        self.members = chart.tree.path_set
-        crit = critical_set(self.fq, chart.tree, chart.order)
-        self.crit_set = set(crit.paths)
-        self.slices = crit.slices
-        self.var_of = {pair: k for k, pair in enumerate(chart.coords)}
-        self.cache: dict[Path, list[Poly]] = {}
-
-    def vector(self, v: Path) -> list[Poly]:
-        if path_target(self.fq, v) == INF_VERTEX:
-            raise CellError("path ends at the framing vertex")
-        hit = self.cache.get(v)
-        if hit is not None:
-            return hit
-        i = path_target(self.fq, v)
-        basis = self.slices[i]
-        n = self.chart.nvars
-        if v in self.members:
-            out = [
-                Poly.const(n, 1) if u == v else Poly.zero(n) for u in basis
-            ]
-        elif v in self.crit_set:
-            out = [
-                Poly.variable(n, self.var_of[(u, v)]) for u in basis
-            ]
-        else:
-            u, a = parent(v), v[-1]
-            inner = self.vector(u)
-            out = [Poly.zero(n) for _ in basis]
-            for k, u_k in enumerate(self.slices[path_target(self.fq, u)]):
-                if inner[k].is_zero():
-                    continue
-                column = self.vector(u_k + (a,))
-                for j in range(len(out)):
-                    if not column[j].is_zero():
-                        out[j] = out[j] + inner[k] * column[j]
-        self.cache[v] = out
-        return out
+    return list(make_chart(fq, s, order).coords)
 
 
 def symbolic_vector(
     fq: FramedQuiver, s: Subtree, order: PathOrder, v: Path
 ) -> list[Poly]:
     """Coordinates of the path vector of v in the chart basis at its vertex."""
-    return _SymbolicExpander(make_chart(fq, s, order)).vector(v)
+    return make_chart(fq, s, order).vector(v)
 
 
-def _minor_groups(
-    fq: FramedQuiver,
-    target: Subtree,
-    chart: Chart,
-    order: PathOrder,
-) -> list[tuple[Path, list[Poly]]]:
-    if udim(fq, target) != udim(fq, chart.tree):
+def _minors(fq: FramedQuiver, target: CriticalSet, chart: Chart) -> list[Poly]:
+    """The minors of membership_minors, from the target's critical set."""
+    if [len(b) for b in target.slices] != [len(b) for b in chart.crit.slices]:
         raise CellError("target and chart subtrees have different counts")
-    expander = _SymbolicExpander(chart)
-    crit = critical_set(fq, target, order)
-    groups: list[tuple[Path, list[Poly]]] = []
-    for v, kv in zip(crit.paths, crit.k):
-        slice_v = crit.slices[path_target(fq, v)]
+    minors = []
+    for v, kv in zip(target.paths, target.k):
+        slice_v = target.slices[path_target(fq, v)]
         di = len(slice_v)
         if kv + 1 > di:
             continue  # rank bound equals the ambient dimension: no condition
-        columns = [expander.vector(u) for u in slice_v[:kv] + (v,)]
-        dets = []
+        columns = [chart.vector(u) for u in slice_v[:kv] + (v,)]
         for rows in combinations(range(di), kv + 1):
             sub = [[columns[c][r] for c in range(kv + 1)] for r in rows]
-            dets.append(det_bareiss(sub))
-        groups.append((v, dets))
-    return groups
+            minors.append(det_bareiss(sub))
+    return minors
 
 
 def membership_minors(
@@ -159,11 +143,7 @@ def membership_minors(
     locus of the target inside the chart.  Ordered by v, then row set.
     """
     chart = make_chart(fq, chart_tree, order)
-    return [
-        det
-        for _, dets in _minor_groups(fq, target, chart, order)
-        for det in dets
-    ]
+    return _minors(fq, critical_set(fq, target, order), chart)
 
 
 def multiplicity_power(
@@ -181,11 +161,11 @@ def multiplicity_power(
     the smallest candidate over the distinguished choices, or None when no
     specialization yields pure powers.  Diagonal pairs give 1.
     """
-    if cell_dim(fq, target, order) != cell_dim(fq, chart_tree, order):
-        raise CellError("multiplicity needs cells of equal dimension")
     chart = make_chart(fq, chart_tree, order)
-    groups = _minor_groups(fq, target, chart, order)
-    minors = [det for _, dets in groups for det in dets]
+    target_crit = critical_set(fq, target, order)
+    if sum(target_crit.k) != sum(chart.crit.k):
+        raise CellError("multiplicity needs cells of equal dimension")
+    minors = _minors(fq, target_crit, chart)
     if not minors:
         return 1  # no conditions at all: empty obstruction
     vanishing = [
@@ -229,23 +209,23 @@ def rep_from_chart(
     each arrow sends a basis vector either to the next basis vector or to
     the column of chart values at the corresponding critical path.
     """
-    d = udim(fq, s)
-    crit = critical_set(fq, s, order)
-    crit_set = set(crit.paths)
-    members = s.path_set
-    slices = crit.slices
+    chart = make_chart(fq, s, order)
+    for pair in values:
+        if pair not in chart.var_of:
+            raise CellError(f"{_pair_name(fq, pair)} is not a chart coordinate")
+    slices = chart.crit.slices
+    d = tuple(map(len, slices))
     position = {u: j for slice_i in slices for j, u in enumerate(slice_i)}
 
     def column_for(path: Path) -> list[Coeff]:
+        # path is one arrow beyond the tree: a basis path or a critical one
         i = path_target(fq, path)
         col = [0] * d[i]
-        if path in members:
+        if path in position:
             col[position[path]] = 1
-        elif path in crit_set:
+        else:
             for j, u in enumerate(slices[i]):
                 col[j] = normal(values.get((u, path), 0))
-        else:
-            raise CellError("path escapes the basis and its critical boundary")
         return col
 
     mats = []

@@ -33,8 +33,8 @@ def _load_quiver(path: str) -> quiver.FramedQuiver:
 
 def _parse_dim(text: str, fq: quiver.FramedQuiver) -> tuple[int, ...]:
     try:
-        d = tuple(int(x) for x in text.replace(",", " ").split())
-    except ValueError:
+        d = tuple(quiver.parse_number(x, int) for x in text.replace(",", " ").split())
+    except quiver.QuiverError:
         raise DomainError(f"cannot parse dimension vector {text!r}") from None
     if len(d) != fq.vertex_count:
         raise DomainError(f"dimension vector needs {fq.vertex_count} entries")

@@ -8,6 +8,7 @@ declaration order.  Dimension vectors are plain int tuples.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -78,7 +79,10 @@ class Quiver:
 
 
 def check_dim(q: Quiver, d: DimVector, name: str = "dimension vector") -> DimVector:
-    d = tuple(int(x) for x in d)
+    try:
+        d = tuple(operator.index(x) for x in d)
+    except TypeError:
+        raise QuiverError(f"{name} entries must be integers") from None
     if len(d) != q.vertex_count:
         raise QuiverError(f"{name} has length {len(d)}, expected {q.vertex_count}")
     return d
@@ -226,17 +230,17 @@ def parse_quiver_file(text) -> FramedQuiver:
             if kind == "vertices":
                 if vertex_count is not None:
                     raise QuiverError("repeated 'vertices' line")
-                vertex_count = int(tokens[1])
+                vertex_count = parse_number(tokens[1], int)
                 if vertex_count <= 0:
                     raise QuiverError("vertex count must be positive")
             elif kind == "arrow":
                 if len(tokens) != 4:
                     raise QuiverError("expected: arrow <name> <src> <tgt>")
-                arrows.append((tokens[1], int(tokens[2]), int(tokens[3])))
+                arrows.append((tokens[1], *(parse_number(t, int) for t in tokens[2:])))
             elif kind == "framing":
                 if framing is not None:
                     raise QuiverError("repeated 'framing' line")
-                framing = tuple(int(t) for t in tokens[1:])
+                framing = tuple(parse_number(t, int) for t in tokens[1:])
             elif kind == "framenames":
                 framenames = tokens[1:]
             else:

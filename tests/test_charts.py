@@ -68,6 +68,8 @@ def test_symbolic_vector_critical_is_coordinates(two_loop, shortlex):
         "c[abf,af]",
         "c[bbf,af]",
     ]
+    with pytest.raises(CellError, match=r"c\[af,bf\] is not a chart coordinate"):
+        chart.var_index(parse_path(two_loop, "af"), parse_path(two_loop, "bf"))
 
 
 def test_symbolic_vector_nested_expansion(two_loop, shortlex):
@@ -220,3 +222,11 @@ def test_rep_from_chart_cell_point_classifies_to_chart(two_loop, shortlex):
         got = classify(two_loop, rep, shortlex)
         assert got.path_set == s.path_set
         assert in_degeneracy_locus(two_loop, rep, s, shortlex)
+
+
+def test_rep_from_chart_rejects_stray_values(two_loop, shortlex):
+    # (abf, bf) pairs two basis paths, so it is no coordinate of this chart
+    s = parse_tree(two_loop, shortlex, "f,bf,abf")
+    stray = (parse_path(two_loop, "abf"), parse_path(two_loop, "bf"))
+    with pytest.raises(CellError, match=r"c\[abf,bf\] is not a chart coordinate"):
+        rep_from_chart(two_loop, s, shortlex, {stray: Fraction(5)})

@@ -246,47 +246,33 @@ def test_classify_unstable_is_domain_error(two_loop_file, tmp_path, capsys):
     assert "not stable" in capsys.readouterr().err
 
 
+# the d=3 closure pair of the worked example; minors captured from the CLI
+CHARTS_D3_MINOR = "c[bf,af]^2 + c[bf,af]*c[abf,af]*c[abf,aabf] - c[abf,af]^2*c[bf,aabf]"
+
+
+def assert_charts_output(capsys, file, target, order, minors, power):
+    """Every minor line and the multiplicity line, in text and in --json."""
+    args = ["charts", "-q", file, "--target", target, "--chart", "f,bf,abf"]
+    args += ["--order", order, "--multiplicity"]
+    assert run(args) == 0
+    assert lines_of(capsys) == minors + [f"multiplicity={power}"]
+    assert run(args + ["--json"]) == 0
+    rows = [json.loads(line) for line in lines_of(capsys)]
+    assert rows == [{"minor": m} for m in minors] + [{"multiplicity": power}]
+
+
 def test_charts_multiplicity(two_loop_file, capsys):
-    assert (
-        run(
-            [
-                "charts",
-                "-q",
-                two_loop_file,
-                "--target",
-                "f,af,baf",
-                "--chart",
-                "f,bf,abf",
-                "--order",
-                "shortlex",
-                "--multiplicity",
-            ]
-        )
-        == 0
-    )
-    out = lines_of(capsys)
-    assert out[-1] == "multiplicity=2"
+    minors = ["-c[abf,af]", CHARTS_D3_MINOR]
+    assert_charts_output(capsys, two_loop_file, "f,af,baf", "shortlex", minors, 2)
 
 
 def test_charts_multiplicity_lex(two_loop_file, capsys):
-    assert (
-        run(
-            [
-                "charts",
-                "-q",
-                two_loop_file,
-                "--target",
-                "f,af,bf",
-                "--chart",
-                "f,bf,abf",
-                "--order",
-                "lex",
-                "--multiplicity",
-            ]
-        )
-        == 0
-    )
-    assert lines_of(capsys)[-1] == "multiplicity=4"
+    minors = [
+        CHARTS_D3_MINOR,
+        "-c[f,af]*c[abf,af] + c[bf,af]^2*c[abf,bbf] + c[bf,af]*c[abf,af]*c[abf,babf]"
+        " - c[bf,af]*c[abf,af]*c[bf,bbf] - c[abf,af]^2*c[bf,babf]",
+    ]
+    assert_charts_output(capsys, two_loop_file, "f,af,bf", "lex", minors, 4)
 
 
 def test_verify_basis_cli(two_loop_file, capsys):
@@ -412,16 +398,27 @@ BAD_INPUTS = [
     ),
     pytest.param(["trees", "--dim", "2", "--weights", "a=2"], None, id="weights-without-order"),
     pytest.param(WSHORTLEX + ["--weights", "a=2,b=1,a=3"], None, id="weight-twice"),
+    pytest.param(["trees", "--dim", "1_0"], None, id="dim-underscore"),
+    pytest.param(["trees", "--dim", "1"], "vertices 0_1\nframing 1\n", id="vertices-underscore"),
+    pytest.param(
+        ["trees", "--dim", "1"], "vertices 1\narrow a 0 0_0\nframing 1\n", id="arrow-underscore"
+    ),
+    pytest.param(["trees", "--dim", "1"], "vertices 1\nframing 1_0\n", id="framing-underscore"),
 ]
 
 
-@pytest.mark.parametrize("args, rep_text", BAD_INPUTS)
-def test_bad_input_is_one_error_line(args, rep_text, two_loop_file, tmp_path, capsys):
-    if rep_text is not None:
-        rep = tmp_path / "bad.rep"
-        rep.write_text(rep_text, encoding="utf-8")
-        args = args + ["-r", str(rep)]
-    assert run(args + ["-q", two_loop_file]) == 1
+@pytest.mark.parametrize("args, file_text", BAD_INPUTS)
+def test_bad_input_is_one_error_line(args, file_text, two_loop_file, tmp_path, capsys):
+    # file_text is a rep file, or a quiver file in place of the two-loop one
+    quiver_file = two_loop_file
+    if file_text is not None:
+        path = tmp_path / "bad.in"
+        path.write_text(file_text, encoding="utf-8")
+        if file_text.startswith("rep"):
+            args = args + ["-r", str(path)]
+        else:
+            quiver_file = str(path)
+    assert run(args + ["-q", quiver_file]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1

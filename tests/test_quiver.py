@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,7 +14,9 @@ from cohalab import (
     FramedQuiver,
     Quiver,
     QuiverError,
+    enumerate_trees,
     euler_form,
+    motivic_class,
     parse_quiver_file,
     serialize_quiver_file,
 )
@@ -33,6 +37,17 @@ def test_euler_form_no_arrows():
 def test_euler_form_a2():
     q = Quiver.make(2, [("a", 0, 1)])
     assert euler_form(q, (1, 1), (1, 1)) == 1
+
+
+def test_dimension_entries_must_be_integers(two_loop, shortlex):
+    # each of these was truncated or parsed to an integer before
+    for bad in (2.9, Fraction(5, 2), "3"):
+        with pytest.raises(QuiverError, match="dimension vector entries must be integers"):
+            enumerate_trees(two_loop, (bad,), shortlex)
+        with pytest.raises(QuiverError, match="dimension vector entries must be integers"):
+            motivic_class(two_loop, (bad,))
+    with pytest.raises(QuiverError, match="framing entries must be integers"):
+        FramedQuiver(loop_quiver(2), (1.0,))
 
 
 def test_euler_form_length_mismatch():
