@@ -321,15 +321,15 @@ def in_cell(fq: FramedQuiver, m: NumericRep, s: Subtree, order: PathOrder) -> bo
     Requires the path vectors over s to form a basis and the representation
     to lie in the degeneracy locus of s: given that basis, a critical v lies
     in the span of the smaller basis vectors at its vertex exactly when its
-    critical family is dependent.
+    critical family is dependent.  The prefixes the locus test grows are
+    prefixes of the basis, so one sweep does both (see _critical_sweep): it
+    stops at the first dependent prefix or the first critical vector
+    outside its prefix's span, and after the last critical path it grows
+    each slice to its end.
     """
     if udim(fq, s) != m.d:
         return False
-    spans = [Span(di) for di in m.d]
-    for u in s.nonroot:
-        if not spans[path_target(fq, u)].add(m.path_vector(u)):
-            return False
-    return in_degeneracy_locus(fq, m, s, order)
+    return _critical_sweep(fq, m, critical_set(fq, s, order), basis=True)
 
 
 def in_degeneracy_locus(
@@ -339,23 +339,45 @@ def in_degeneracy_locus(
 
     The family of a critical v at vertex i is the prefix slices[i][:k_v]
     plus v, and k_v never decreases along the ascending critical list, so
-    one Span per vertex grows along its slice.  Once a prefix vector fails
-    to enlarge it, every longer prefix, and each family containing one, is
-    dependent; otherwise the family is independent exactly when v lies
-    outside the span of its prefix.
+    one Span per vertex grows along its slice (see _critical_sweep).  Once
+    a prefix vector fails to enlarge it, every longer prefix, and each
+    family containing one, is dependent; otherwise the family is
+    independent exactly when v lies outside the span of its prefix.
     """
     if udim(fq, s) != m.d:
         raise CellError("subtree counts do not match the representation")
-    crit = critical_set(fq, s, order)
+    return _critical_sweep(fq, m, critical_set(fq, s, order), basis=False)
+
+
+def _critical_sweep(
+    fq: FramedQuiver, m: NumericRep, crit: CriticalSet, basis: bool
+) -> bool:
+    """One walk over the ascending critical list, one Span per vertex grown
+    along its slice to k_v before the critical v there is tested.
+
+    Without basis: the degeneracy-locus test, where a dependent prefix
+    settles every later family at its vertex.  With basis: the slices must
+    also be independent, so a dependent prefix is a failure, and the
+    slices are grown to their ends once the critical paths are done.
+    """
+    targets = fq.targets
     spans = [Span(di) for di in m.d]
     free = [True] * len(m.d)  # the prefix grown so far at vertex i is independent
     for v, kv in zip(crit.paths, crit.k):
-        i = path_target(fq, v)
-        prefix = crit.slices[i]
-        while free[i] and spans[i].rank < kv:
-            free[i] = spans[i].add(m.path_vector(prefix[spans[i].rank]))
-        if free[i] and not spans[i].contains(m.path_vector(v)):
+        i = targets[v[-1]]
+        span, prefix = spans[i], crit.slices[i]
+        while free[i] and span.rank < kv:
+            free[i] = span.add(m.path_vector(prefix[span.rank]))
+        if free[i]:
+            if not span.contains(m.path_vector(v)):
+                return False
+        elif basis:
             return False
+    if basis:
+        for span, prefix in zip(spans, crit.slices):
+            while span.rank < len(prefix):
+                if not span.add(m.path_vector(prefix[span.rank])):
+                    return False
     return True
 
 

@@ -5,12 +5,20 @@ other path vector expands in that basis with polynomial coordinates
 c[u,v].  Minors of those expansions cut out degeneracy loci, and
 specializing the coordinates toward a smaller cell reads off the
 multiplicity with which the locus meets its closure.
+
+Each chart is built once per (quiver, tree, order): make_chart is
+memoised, and the chart memoises its path vectors and the minors of each
+critical family it is asked about.  The minors of a target depend on the
+chart and on the target's critical families only, so membership_minors,
+multiplicity_power and the charts command share every determinant.  The
+memos hold tuples, and the public functions hand out fresh lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .cells import CellError, CriticalSet, NumericRep, Subtree, critical_set
@@ -29,7 +37,9 @@ class Chart:
     """Affine chart of a basis subtree, read off its critical set once.
 
     coords lists the (basis path, critical path) pairs at a common vertex,
-    by vertex, then critical path; var_of indexes them.
+    by vertex, then critical path; var_of indexes them.  The memos
+    _vectors (per path) and _minors (per critical family) hold tuples, so
+    what they hand out cannot be changed under the next caller.
     """
 
     fq: FramedQuiver
@@ -39,6 +49,7 @@ class Chart:
     crit: CriticalSet = field(compare=False, repr=False)
     var_of: dict = field(compare=False, repr=False)
     _vectors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _minors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def nvars(self) -> int:
@@ -56,7 +67,7 @@ class Chart:
     def format_poly(self, p: Poly) -> str:
         return p.format(self.coord_name)
 
-    def vector(self, v: Path) -> list[Poly]:
+    def vector(self, v: Path) -> tuple[Poly, ...]:
         """Coordinates of the path vector of v in the chart basis at its
         vertex, memoised: units on the basis, c[u,v] on critical paths."""
         i = path_target(self.fq, v)
@@ -82,11 +93,34 @@ class Chart:
                 for j in range(len(out)):
                     if not column[j].is_zero():
                         out[j] = out[j] + inner[k] * column[j]
-        self._vectors[v] = out
+        self._vectors[v] = out = tuple(out)
+        return out
+
+    def minors(self, family: tuple[Path, ...]) -> tuple[Poly, ...]:
+        """The maximal minors of the columns vector(u), u in family, by row
+        set; none when the family outnumbers its vertex's slice.  Memoised
+        per family: a critical family slices[i][:k_v] + (v,) of any target
+        with this chart's counts."""
+        out = self._minors.get(family)
+        if out is not None:
+            return out
+        size = len(family)
+        dim = len(self.crit.slices[path_target(self.fq, family[-1])])
+        out = ()
+        if size <= dim:  # otherwise the rank bound is the ambient dimension
+            columns = [self.vector(u) for u in family]
+            out = tuple(
+                det_bareiss([[column[r] for column in columns] for r in rows])
+                for rows in combinations(range(dim), size)
+            )
+        self._minors[family] = out
         return out
 
 
+@lru_cache(maxsize=64)
 def make_chart(fq: FramedQuiver, s: Subtree, order: PathOrder) -> Chart:
+    """The chart of the basis subtree s, one per (fq, s, order) while it
+    stays among the 64 most recently used."""
     crit = critical_set(fq, s, order)
     coords = tuple(
         (u, v)
@@ -112,23 +146,16 @@ def symbolic_vector(
     fq: FramedQuiver, s: Subtree, order: PathOrder, v: Path
 ) -> list[Poly]:
     """Coordinates of the path vector of v in the chart basis at its vertex."""
-    return make_chart(fq, s, order).vector(v)
+    return list(make_chart(fq, s, order).vector(v))
 
 
-def _minors(fq: FramedQuiver, target: CriticalSet, chart: Chart) -> list[Poly]:
+def _target_minors(fq: FramedQuiver, target: CriticalSet, chart: Chart) -> list[Poly]:
     """The minors of membership_minors, from the target's critical set."""
     if [len(b) for b in target.slices] != [len(b) for b in chart.crit.slices]:
         raise CellError("target and chart subtrees have different counts")
     minors = []
     for v, kv in zip(target.paths, target.k):
-        slice_v = target.slices[path_target(fq, v)]
-        di = len(slice_v)
-        if kv + 1 > di:
-            continue  # rank bound equals the ambient dimension: no condition
-        columns = [chart.vector(u) for u in slice_v[:kv] + (v,)]
-        for rows in combinations(range(di), kv + 1):
-            sub = [[columns[c][r] for c in range(kv + 1)] for r in rows]
-            minors.append(det_bareiss(sub))
+        minors += chart.minors(target.slices[path_target(fq, v)][:kv] + (v,))
     return minors
 
 
@@ -143,7 +170,7 @@ def membership_minors(
     locus of the target inside the chart.  Ordered by v, then row set.
     """
     chart = make_chart(fq, chart_tree, order)
-    return _minors(fq, critical_set(fq, target, order), chart)
+    return _target_minors(fq, critical_set(fq, target, order), chart)
 
 
 def multiplicity_power(
@@ -165,7 +192,7 @@ def multiplicity_power(
     target_crit = critical_set(fq, target, order)
     if sum(target_crit.k) != sum(chart.crit.k):
         raise CellError("multiplicity needs cells of equal dimension")
-    minors = _minors(fq, target_crit, chart)
+    minors = _target_minors(fq, target_crit, chart)
     if not minors:
         return 1  # no conditions at all: empty obstruction
     vanishing = [

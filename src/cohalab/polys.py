@@ -262,7 +262,9 @@ def det_bareiss(rows: list[list[Poly]]) -> Poly:
 
     Bareiss elimination keeps every intermediate entry polynomial; the
     divisions it performs are exact by construction, which doubles as an
-    internal consistency check on the polynomial arithmetic.
+    internal consistency check on the polynomial arithmetic.  Every step
+    after the first divides by the previous pivot; the first would divide
+    by the constant 1, so it does not divide.
     """
     n = len(rows)
     if n == 0:
@@ -272,7 +274,7 @@ def det_bareiss(rows: list[list[Poly]]) -> Poly:
         raise ValueError("matrix is not square")
     m = [list(r) for r in rows]
     sign = 1
-    prev = Poly.const(nvars, 1)
+    prev = None  # the previous pivot; the first step has none
     for k in range(n - 1):
         if m[k][k].is_zero():
             pivot_row = next(
@@ -285,7 +287,7 @@ def det_bareiss(rows: list[list[Poly]]) -> Poly:
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
+                m[i][j] = num if prev is None else num.exact_div(prev)
             m[i][k] = Poly.zero(nvars)
         prev = m[k][k]
     result = m[n - 1][n - 1]

@@ -77,6 +77,20 @@ def minors(rows: list[list[Poly]], size: int) -> list[Poly]:
     return out
 
 
+def det_laplace(rows: list[list[Poly]]) -> Poly:
+    """Determinant by cofactor expansion along the first row: no pivots,
+    no row swaps and no divisions."""
+    if len(rows) == 1:
+        return rows[0][0]
+    out = Poly.zero(rows[0][0].nvars)
+    for j, entry in enumerate(rows[0]):
+        if entry.is_zero():
+            continue
+        term = entry * det_laplace([r[:j] + r[j + 1 :] for r in rows[1:]])
+        out = out - term if j % 2 else out + term
+    return out
+
+
 def is_prefix(u: Path, v: Path) -> bool:
     """True iff u is a right factor of v (u precedes v in the tree order)."""
     return len(u) <= len(v) and v[: len(u)] == u

@@ -398,26 +398,36 @@ def seeded_reps(fq, d, rng):
     "name, fq, dims", [pytest.param(*f, id=f[0]) for f in oracle_fixtures()]
 )
 def test_path_vector_and_in_cell_match_oracles(name, fq, dims):
+    # the seeded stable reps, then the reps of the locus test, stable or
+    # not (entries up to 9, then twice in -1..1): on those the basis check
+    # decides in_cell where the degeneracy locus holds
     rng = Random(f"oracle-{name}")
-    compared = hits = 0
+    locus_rng = Random(f"oracle-locus-{name}")
+    compared = hits = basis_decides = 0
     for d in dims:
         trees_by_order = [(order, enumerate_trees(fq, d, order)) for order in oracle_orders(fq)]
         if not trees_by_order[0][1]:
             continue
-        for m in seeded_reps(fq, d, rng):
+        reps = seeded_reps(fq, d, rng)
+        reps += [random_rep(fq, d, locus_rng, bound) for bound in (9, 1, 1)]
+        for m in reps:
             fresh = NumericRep(m.fq, m.d, m.matrices)
             before = (hash(m), repr(m))
+            checked = set()  # each path's vector is compared once per rep
             for order, trees in trees_by_order:
                 for s in trees:
-                    for u in s.paths + critical_set(fq, s, order).paths:
+                    for u in set(s.paths + critical_set(fq, s, order).paths) - checked:
                         assert m.path_vector(u) == path_vector_from_root(m, u)
+                        checked.add(u)
                     got = in_cell(fq, m, s, order)
                     assert got == in_cell_pairwise(fq, m, s, order)
                     compared += 1
                     hits += got
+                    basis_decides += not got and in_degeneracy_locus(fq, m, s, order)
             # the memo is invisible to equality, hashing and repr
             assert m == fresh and (hash(m), repr(m)) == before == (hash(fresh), repr(fresh))
     assert compared > hits > 0
+    assert basis_decides > 0
 
 
 def has_dependent_prefix(fq, m, s, order) -> bool:

@@ -3,11 +3,15 @@ from random import Random
 
 import pytest
 
+import cohalab.charts as charts
 from cohalab import (
     CellError,
+    PathOrder,
+    cell_dim,
     chart_coordinates,
     classify,
     enumerate_trees,
+    format_tree,
     in_degeneracy_locus,
     make_chart,
     membership_minors,
@@ -19,7 +23,7 @@ from cohalab import (
     tree_leq,
 )
 from cohalab.paths import paths_up_to_length
-from cohalab.polys import Poly
+from cohalab.polys import Poly, det_bareiss
 from conftest import vertex_only
 from helpers import evaluate, substitute
 
@@ -230,3 +234,85 @@ def test_rep_from_chart_rejects_stray_values(two_loop, shortlex):
     stray = (parse_path(two_loop, "abf"), parse_path(two_loop, "bf"))
     with pytest.raises(CellError, match=r"c\[abf,bf\] is not a chart coordinate"):
         rep_from_chart(two_loop, s, shortlex, {stray: Fraction(5)})
+
+
+def test_shared_chart_hands_out_fresh_lists(two_loop, shortlex):
+    # make_chart hands every caller the same chart; mutating what the
+    # public functions return must not reach its memos
+    s = parse_tree(two_loop, shortlex, "f,bf,abf")
+    target = parse_tree(two_loop, shortlex, "f,af,baf")
+    af = parse_path(two_loop, "af")
+    assert make_chart(two_loop, s, shortlex) is make_chart(two_loop, s, shortlex)
+    calls = [
+        lambda: chart_coordinates(two_loop, s, shortlex),
+        lambda: symbolic_vector(two_loop, s, shortlex, af),
+        lambda: symbolic_vector(two_loop, s, shortlex, parse_path(two_loop, "bf")),
+        lambda: membership_minors(two_loop, target, s, shortlex),
+    ]
+    for call in calls:
+        first = call()
+        assert isinstance(first, list) and first
+        kept = list(first)
+        first.append(first[0])
+        first[0] = None
+        del first[1]
+        assert call() == kept
+    assert multiplicity_power(two_loop, target, s, shortlex) == 2
+
+
+# closure multiplicities of every equal-dimension pair at two-loop d=3,
+# (target, chart): None where no specialization yields pure powers
+D3_MULTIPLICITIES = {
+    "shortlex": {
+        ("f,af,bf", "f,af,bf"): 1,
+        ("f,af,aaf", "f,af,aaf"): 1,
+        ("f,af,baf", "f,af,baf"): 1,
+        ("f,af,baf", "f,bf,abf"): 2,
+        ("f,bf,abf", "f,af,baf"): None,
+        ("f,bf,abf", "f,bf,abf"): 1,
+        ("f,bf,bbf", "f,bf,bbf"): 1,
+    },
+    "lex": {
+        ("f,af,aaf", "f,af,aaf"): 1,
+        ("f,af,baf", "f,af,baf"): 1,
+        ("f,af,bf", "f,af,bf"): 1,
+        ("f,af,bf", "f,bf,abf"): 4,
+        ("f,bf,abf", "f,af,bf"): None,
+        ("f,bf,abf", "f,bf,abf"): 1,
+        ("f,bf,bbf", "f,bf,bbf"): 1,
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(D3_MULTIPLICITIES))
+def test_multiplicity_table_two_loop_d3(two_loop, kind):
+    order = PathOrder.shortlex() if kind == "shortlex" else PathOrder.lex()
+    trees = enumerate_trees(two_loop, (3,), order)
+    got = {
+        (format_tree(two_loop, a), format_tree(two_loop, b)): multiplicity_power(
+            two_loop, a, b, order
+        )
+        for a in trees
+        for b in trees
+        if cell_dim(two_loop, a, order) == cell_dim(two_loop, b, order)
+    }
+    assert got == D3_MULTIPLICITIES[kind]
+
+
+def test_each_minor_is_one_determinant(two_loop, shortlex, monkeypatch):
+    # membership_minors, then multiplicity_power on the same pair: the
+    # second call reads the chart's memo and computes no determinant
+    calls = []
+
+    def counting(rows):
+        calls.append(len(rows))
+        return det_bareiss(rows)
+
+    monkeypatch.setattr(charts, "det_bareiss", counting)
+    make_chart.cache_clear()
+    target = parse_tree(two_loop, shortlex, "f,af,baf,bbaf")
+    chart_tree = parse_tree(two_loop, shortlex, "f,bf,abf,babf")
+    minors = membership_minors(two_loop, target, chart_tree, shortlex)
+    assert len(minors) == 9 and sorted(set(calls)) == [3, 4]
+    assert multiplicity_power(two_loop, target, chart_tree, shortlex) == 2
+    assert len(calls) == 9

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import gcd, lcm
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from cohalab.linalg import Span, rref, vec
 from cohalab.polys import ExactDivisionError, Poly, det_bareiss
-from helpers import minors, rank_fraction, rref_fraction, substitute, var_degree
+from helpers import det_laplace, minors, rank_fraction, rref_fraction, substitute, var_degree
 
 
 small_polys = st.dictionaries(
@@ -84,6 +85,64 @@ def test_det_bareiss_zero_pivot():
     c = lambda v: Poly.const(0, v)
     m = [[c(0), c(1)], [c(1), c(0)]]
     assert det_bareiss(m).const_value() == -1
+
+
+def random_int_poly(rng: Random) -> Poly:
+    """A polynomial in two variables: up to three terms, int coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        terms[(rng.randint(0, 2), rng.randint(0, 2))] = rng.randint(-3, 3)
+    return Poly(2, {e: c for e, c in terms.items() if c})
+
+
+def test_det_bareiss_matches_laplace_oracle():
+    # seeded matrices of size 1-4 in four kinds: random; a zero leading
+    # pivot (a swap at the first step); the leading 2x2 block singular (a
+    # zero pivot at the second step, or a singular matrix at size 2); the
+    # last row a polynomial combination of the others (singular)
+    rng = Random(41)
+    seen = set()
+    for n in range(1, 5):
+        for case in range(40):
+            m = [[random_int_poly(rng) for _ in range(n)] for _ in range(n)]
+            kind = case % 4 if n > 1 else 0
+            if kind == 1:
+                m[0][0] = Poly.zero(2)
+            elif kind == 2:
+                f = random_int_poly(rng)
+                m[1][:2] = [f * m[0][0], f * m[0][1]]
+            elif kind == 3:
+                fs = [random_int_poly(rng) for _ in range(n - 1)]
+                m[-1] = [
+                    sum((f * row[j] for f, row in zip(fs, m)), Poly.zero(2))
+                    for j in range(n)
+                ]
+            det = det_bareiss(m)
+            assert det == det_laplace(m)
+            assert all(type(c) is int for c in det.terms.values())
+            seen.add((n, kind, det.is_zero()))
+    for n in (2, 3, 4):
+        assert {(n, 0, False), (n, 1, False), (n, 2, n == 2), (n, 3, True)} <= seen
+    assert (1, 0, True) in seen and (1, 0, False) in seen
+
+
+def test_det_bareiss_divides_from_second_step(monkeypatch):
+    # 4x4 of distinct variables: the first step divides by the unit and is
+    # skipped; steps 2 and 3 divide their 4 and 1 entries by the previous
+    # pivot, which is no constant
+    x = [[Poly.variable(16, 4 * i + j) for j in range(4)] for i in range(4)]
+    divisors = []
+    exact_div = Poly.exact_div
+
+    def counting(self, divisor):
+        divisors.append(divisor)
+        return exact_div(self, divisor)
+
+    monkeypatch.setattr(Poly, "exact_div", counting)
+    det = det_bareiss(x)
+    assert len(divisors) == 5
+    assert not any(d.is_const() for d in divisors)
+    assert det == det_laplace(x) and len(det.terms) == 24
 
 
 def test_minors_order():
