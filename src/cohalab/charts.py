@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from types import MappingProxyType
 
 from .cells import CellError, CriticalSet, NumericRep, Subtree, critical_set
 from .paths import Path, PathOrder, format_path, parent, path_target
@@ -37,9 +38,9 @@ class Chart:
     """Affine chart of a basis subtree, read off its critical set once.
 
     coords lists the (basis path, critical path) pairs at a common vertex,
-    by vertex, then critical path; var_of indexes them.  The memos
-    _vectors (per path) and _minors (per critical family) hold tuples, so
-    what they hand out cannot be changed under the next caller.
+    by vertex, then critical path; var_of indexes them, read-only.  The
+    memos _vectors (per path) and _minors (per critical family) hold
+    tuples, so what they hand out cannot be changed under the next caller.
     """
 
     fq: FramedQuiver
@@ -47,7 +48,7 @@ class Chart:
     order: PathOrder
     coords: tuple[tuple[Path, Path], ...]
     crit: CriticalSet = field(compare=False, repr=False)
-    var_of: dict = field(compare=False, repr=False)
+    var_of: MappingProxyType = field(compare=False, repr=False)
     _vectors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _minors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -129,7 +130,8 @@ def make_chart(fq: FramedQuiver, s: Subtree, order: PathOrder) -> Chart:
         if path_target(fq, v) == i
         for u in basis_i
     )
-    return Chart(fq, s, order, coords, crit, {pair: k for k, pair in enumerate(coords)})
+    var_of = MappingProxyType({pair: k for k, pair in enumerate(coords)})
+    return Chart(fq, s, order, coords, crit, var_of)
 
 
 def chart_coordinates(
@@ -170,7 +172,7 @@ def membership_minors(
     locus of the target inside the chart.  Ordered by v, then row set.
     """
     chart = make_chart(fq, chart_tree, order)
-    return _target_minors(fq, critical_set(fq, target, order), chart)
+    return _target_minors(fq, make_chart(fq, target, order).crit, chart)
 
 
 def multiplicity_power(
@@ -189,7 +191,7 @@ def multiplicity_power(
     specialization yields pure powers.  Diagonal pairs give 1.
     """
     chart = make_chart(fq, chart_tree, order)
-    target_crit = critical_set(fq, target, order)
+    target_crit = make_chart(fq, target, order).crit
     if sum(target_crit.k) != sum(chart.crit.k):
         raise CellError("multiplicity needs cells of equal dimension")
     minors = _target_minors(fq, target_crit, chart)

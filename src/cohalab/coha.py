@@ -32,7 +32,7 @@ from math import comb, factorial, prod
 from operator import add, mul
 from typing import Mapping
 
-from .linalg import rref
+from .linalg import Span, rref
 from .partitions import MultiPartition, cell_labels, satisfies_phi
 from .polys import Coeff, Poly, divide, normal
 from .quiver import DimVector, FramedQuiver, Quiver, check_dim, euler_form, unit_vector
@@ -410,7 +410,8 @@ class GradedSubspace:
     """Row-reduced subspace of one graded slice; equality is canonical.
 
     rows are the canonical form of linalg.rref: primitive integer rows with
-    positive pivots, in reduced echelon form.
+    positive pivots, in reduced echelon form, so adding them to a
+    linalg.Span eliminates nothing.
     """
 
     d: DimVector
@@ -422,9 +423,14 @@ class GradedSubspace:
     def dim(self) -> int:
         return len(self.rows)
 
+    def _span(self) -> Span:
+        span = Span(len(self.basis))
+        for row in self.rows:
+            span.add(row)
+        return span
+
     def contains(self, row) -> bool:
-        stacked = rref(list(self.rows) + [tuple(row)])
-        return len(stacked) == len(self.rows)
+        return self._span().contains(row)
 
 
 def kernel_graded_piece(fq: FramedQuiver, d: DimVector, n: int) -> GradedSubspace:
@@ -497,7 +503,7 @@ def verify_basis(fq: FramedQuiver, d: DimVector, n: int) -> BasisReport:
     The quotient dimension (slice minus kernel) must equal the number of
     size-n cell labels, read off the shortlex trees by cell_labels, and the
     tautological monomials of those labels must stay independent modulo
-    the kernel slice.
+    the kernel slice: each of their rows enlarges the span of the kernel.
     """
     d = check_dim(fq.base, d)
     kernel = kernel_graded_piece(fq, d, n)
@@ -505,9 +511,9 @@ def verify_basis(fq: FramedQuiver, d: DimVector, n: int) -> BasisReport:
     h_dim = len(index)
     labels = [lam for lam in cell_labels(fq, d) if lam.size == n]
     taut_rows = [_row(tautological_monomial(fq, lam), index) for lam in labels]
-    stacked = rref(list(kernel.rows) + taut_rows)
     quotient_dim = h_dim - kernel.dim
-    independent = quotient_dim == len(labels) and len(stacked) == kernel.dim + len(labels)
+    span = kernel._span()
+    independent = quotient_dim == len(labels) and all(map(span.add, taut_rows))
     return BasisReport(d, n, h_dim, kernel.dim, quotient_dim, len(labels), independent)
 
 

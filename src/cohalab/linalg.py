@@ -1,13 +1,14 @@
 """Exact linear algebra over the rationals, carried out in integers.
 
-Small dense routines: span membership and reduced row echelon form.
-Rows may hold int or Fraction entries.  Each row is scaled once to
-integers by the lcm of its denominators and then eliminated fraction-free:
-with pivot p in row r and entry f of row i in the pivot column, and
-g = gcd(p, f), row i becomes (p/g) row i - (f/g) row r, and its content
-(the gcd of its entries) is divided out.  This is the one-step form of
-Bareiss's integer-preserving elimination ("Sylvester's identity and
-multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968).
+Small dense routines: span membership and reduced row echelon form, both
+through one echelon elimination, Span.reduce.  Rows may hold int or
+Fraction entries.  Each row is scaled once to integers by the lcm of its
+denominators and then eliminated fraction-free: with pivot p in row r and
+entry f of row i in the pivot column, and g = gcd(p, f), row i becomes
+(p/g) row i - (f/g) row r, and its content (the gcd of its entries) is
+divided out.  This is the one-step form of Bareiss's integer-preserving
+elimination ("Sylvester's identity and multistep integer-preserving
+Gaussian elimination", Math. Comp. 22, 1968).
 
 No pivot tolerances anywhere; a vector is in a span iff elimination leaves
 an exactly zero residue.  The canonical form of a subspace is its reduced
@@ -39,14 +40,6 @@ def _integral(v) -> list[int]:
     return [x.numerator * (scale // x.denominator) for x in v]
 
 
-def _primitive(w: list[int], p: int) -> list[int]:
-    """w divided by its content, signed so that the entry at p is positive."""
-    c = gcd(*w)
-    if w[p] < 0:
-        c = -c
-    return w if c == 1 else [x // c for x in w]
-
-
 def _eliminate(w: list[int], row: list[int], p: int) -> list[int]:
     """w with its entry at row's pivot column p cleared, content divided out.
 
@@ -66,29 +59,23 @@ def _eliminate(w: list[int], row: list[int], p: int) -> list[int]:
 def rref(rows) -> list[tuple[int, ...]]:
     """Canonical echelon form: the reduced row echelon form, each row
     scaled to a primitive integer row with a positive pivot; zero rows
-    dropped.
+    dropped.  Two row sets span the same subspace iff their rref outputs
+    are equal.
 
-    Two row sets span the same subspace iff their rref outputs are equal.
-    Gauss-Jordan over the integer rows; among the rows that can supply a
-    column's pivot, the one with the smallest pivot keeps multipliers small.
+    The rows go into an echelon Span sparsest first, which keeps its rows
+    sparser and their entries smaller.  Back-substitution adds its rows, by
+    descending pivot, to a second Span, which clears each at the pivots of
+    the reduced rows below it; a row keeps its own pivot, as it is zero
+    before it, so the second Span holds the reduced rows.
     """
-    m = [_integral(r) for r in rows]
-    ncols = len(m[0]) if m else 0
-    r = 0
-    for c in range(ncols):
-        candidates = [i for i in range(r, len(m)) if m[i][c]]
-        if not candidates:
-            continue
-        pivot = min(candidates, key=lambda i: abs(m[i][c]))
-        m[r], m[pivot] = m[pivot], m[r]
-        m[r] = _primitive(m[r], c)
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                m[i] = _eliminate(m[i], m[r], c)
-        r += 1
-        if r == len(m):
-            break
-    return [tuple(row) for row in m[:r]]
+    rows = list(rows)
+    ncols = len(rows[0]) if rows else 0
+    echelon, reduced = Span(ncols), Span(ncols)
+    for row in sorted(rows, key=lambda r: sum(map(bool, r))):
+        echelon.add(row)
+    for _, row in sorted(zip(echelon.pivots, echelon.rows), reverse=True):
+        reduced.add(row)
+    return [tuple(row) for row in reversed(reduced.rows)]
 
 
 class Span:
@@ -121,7 +108,10 @@ class Span:
         p = next((i for i, x in enumerate(w) if x), None)
         if p is None:
             return False
-        self.rows.append(_primitive(w, p))
+        c = gcd(*w)  # the content, signed so that the pivot turns positive
+        if w[p] < 0:
+            c = -c
+        self.rows.append(w if c == 1 else [x // c for x in w])
         self.pivots.append(p)
         return True
 

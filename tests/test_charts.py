@@ -260,6 +260,28 @@ def test_shared_chart_hands_out_fresh_lists(two_loop, shortlex):
     assert multiplicity_power(two_loop, target, s, shortlex) == 2
 
 
+def test_shared_chart_index_is_read_only(two_loop, shortlex):
+    # every caller of make_chart shares var_of: writing to it must fail and
+    # leave var_index and rep_from_chart as they were
+    s = parse_tree(two_loop, shortlex, "f,bf,abf")
+    chart = make_chart(two_loop, s, shortlex)
+    values = {pair: Fraction(k - 3) for k, pair in enumerate(chart.coords)}
+    indices = [chart.var_index(*pair) for pair in chart.coords]
+    rep = rep_from_chart(two_loop, s, shortlex, values)
+    first, stray = chart.coords[0], (parse_path(two_loop, "abf"), parse_path(two_loop, "bf"))
+    with pytest.raises(TypeError):
+        chart.var_of[first] = 5
+    with pytest.raises(TypeError):
+        chart.var_of[stray] = 0
+    with pytest.raises(TypeError):
+        del chart.var_of[first]
+    later = make_chart(two_loop, s, shortlex)
+    assert [later.var_index(*pair) for pair in later.coords] == indices == list(range(len(indices)))
+    assert rep_from_chart(two_loop, s, shortlex, values) == rep
+    with pytest.raises(CellError, match="not a chart coordinate"):
+        later.var_index(*stray)
+
+
 # closure multiplicities of every equal-dimension pair at two-loop d=3,
 # (target, chart): None where no specialization yields pure powers
 D3_MULTIPLICITIES = {

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from operator import add
 from random import Random
 
 import pytest
@@ -22,9 +23,13 @@ from cohalab import (
     unit,
     verify_basis,
 )
+from cohalab import coha
+from cohalab.checks import framed_an
+from cohalab.cli import run
 from cohalab.coha import SymPoly, _row, _schur_to_monomial
 from cohalab.linalg import rref
 from cohalab.polys import Poly
+from cohalab.quiver import FramedQuiver, Quiver, serialize_quiver_file
 from conftest import framed_a2, framed_loops, vertex_only
 from helpers import (
     SHUFFLE_FIXTURES,
@@ -176,6 +181,32 @@ def test_associativity_sample(fixture):
         lhs = shuffle_product(shuffle_product(f, g), h)
         rhs = shuffle_product(f, shuffle_product(g, h))
         assert lhs.poly == rhs.poly
+
+
+@pytest.mark.parametrize(
+    "fq, dims",
+    [
+        (framed_loops(2, 1), [(1,), (2,)]),
+        (framed_loops(3, 2), [(1,), (2,)]),
+        (vertex_only(3), [(1,), (2,)]),
+        (framed_an(3, 3), [(1, 0, 0), (1, 1, 0), (0, 1, 1), (1, 1, 1)]),
+        (FramedQuiver(Quiver.make(2, [("a", 0, 1), ("b", 1, 0)]), (1, 2)), [(1, 0), (0, 1), (1, 1)]),
+    ],
+    ids=["two-loop", "three-loop-w2", "point-w3", "a3-w3", "two-cycle-w12"],
+)
+def test_framing_idempotent_distributes_over_shuffle(fq, dims):
+    # e_t cup (a * b) = (e_d cup a) * (e_e cup b): the Euler class of the
+    # framing is symmetric and multiplicative over the split of variables
+    rng = Random(7)
+    for _ in range(6):
+        d, e = (dims[rng.randrange(len(dims))] for _ in range(2))
+        t = tuple(map(add, d, e))
+        a, b = random_sympoly(fq, d, 2, rng), random_sympoly(fq, e, 2, rng)
+        lhs = cup_product(framing_idempotent(fq, t), shuffle_product(a, b))
+        rhs = shuffle_product(
+            cup_product(framing_idempotent(fq, d), a), cup_product(framing_idempotent(fq, e), b)
+        )
+        assert lhs == rhs
 
 
 @pytest.mark.parametrize("fq", [vertex_only(1), framed_loops(2, 1)], ids=["point", "two-loop"])
@@ -340,6 +371,27 @@ def test_verify_basis_grassmannian():
 def test_verify_basis_two_loop_degree_two(two_loop):
     r = verify_basis(two_loop, (3,), 2)
     assert r.quotient_dim == 2 and r.partition_count == 2 and r.independent
+
+
+def test_verify_basis_reports_dependent_labels(two_loop, monkeypatch, tmp_path, capsys):
+    # two-loop d=3 n=2 has two labels; give both the same element, and the
+    # slice must fail on independence alone
+    honest = verify_basis(two_loop, (3,), 2)
+    original = coha.tautological_monomial
+    first = {}
+
+    def collapsed(fq, lam):
+        return first.setdefault((lam.shape(), lam.size), original(fq, lam))
+
+    monkeypatch.setattr(coha, "tautological_monomial", collapsed)
+    r = verify_basis(two_loop, (3,), 2)
+    assert r.partition_count == 2 and not r.independent
+    assert (r.kernel_dim, r.quotient_dim) == (honest.kernel_dim, honest.quotient_dim)
+    path = tmp_path / "twoloop.q"
+    path.write_text(serialize_quiver_file(two_loop), encoding="utf-8")
+    assert run(["verify-basis", "-q", str(path), "--dim", "3", "--max-degree", "2"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[-1] for line in out] == ["PASS", "PASS", "FAIL"]
 
 
 def test_verify_basis_empty_moduli():

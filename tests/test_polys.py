@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohalab import coha
 from cohalab.linalg import Span, rref, vec
 from cohalab.polys import ExactDivisionError, Poly, det_bareiss
+from conftest import framed_loops, vertex_only
 from helpers import det_laplace, minors, rank_fraction, rref_fraction, substitute, var_degree
 
 
@@ -278,6 +280,29 @@ def test_rref_and_rank_match_fraction_oracle(shape):
     got = rref(rows)
     assert got == [primitive(r) for r in oracle]
     assert_canonical_rows(got)
+
+
+def test_rref_matches_fraction_oracle_on_kernel_generators(monkeypatch):
+    # the generator matrices of real kernel slices, captured where
+    # kernel_graded_piece reduces them: two-loop d=5 n=5..11 and Gr(4,7)
+    captured = []
+
+    def capture(rows):
+        captured.append(rows)
+        return rref(rows)
+
+    monkeypatch.setattr(coha, "rref", capture)
+    for n in range(5, 12):
+        coha.kernel_graded_piece(framed_loops(2, 1), (5,), n)
+    for n in range(14):
+        coha.kernel_graded_piece(vertex_only(7), (4,), n)
+    non_unit = 0
+    for rows in captured:
+        got = rref(rows)
+        assert got == [primitive(r) for r in rref_fraction(rows)]
+        assert_canonical_rows(got)
+        non_unit += any(next(x for x in row if x) > 1 for row in got)
+    assert len(captured) == 21 and non_unit  # pivots other than 1 do occur
 
 
 @settings(max_examples=100)

@@ -13,6 +13,7 @@ RUNS = {  # script: (small arguments, how its output ends)
     "two_loop_tables.py": (["--dim", "2"], "motivic class: L^6 + L^5"),
     "order_dependence.py": (["--dim", "2"], "multiplicity=1"),
     "grassmannian_scan.py": (["--max-framing", "3"], "all agree"),
+    "basis_frontier.py": (["--max-degree", "10"], "all agree"),
 }
 
 
