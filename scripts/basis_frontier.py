@@ -40,13 +40,11 @@ CASES = {
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--case", choices=sorted(CASES), action="append",
-                        help="sweep to run (repeatable; default: all)")
     parser.add_argument("--max-degree", type=int, help="stop after this degree")
     args = parser.parse_args()
 
     bad = 0
-    for name in args.case or sorted(CASES):
+    for name in sorted(CASES):
         fq, d, kernel_dims, quotients = CASES[name]
         top = len(kernel_dims) - 1
         if args.max_degree is not None:
