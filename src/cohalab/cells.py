@@ -4,9 +4,11 @@ A cell label is a finite lower-closed path set (a subtree of the path
 tree) with prescribed per-vertex counts.  This module enumerates labels,
 computes critical sets and cell dimensions, classifies explicit rational
 representations into cells, and tests degeneracy-locus membership, all in
-exact arithmetic.  classify grows its label greedily along one keyed
-critical list; the partition-to-tree direction of the bijection
-(partitions.partition_to_tree) keeps one such list per vertex instead.
+exact arithmetic.  The non-root members and the critical paths of a
+subtree are together exactly the children of its members, so
+critical_set, cell_dim and partitions.tree_to_partition each read one
+sorted list of those children.  classify grows its label greedily along
+one keyed critical list; partitions.partition_to_tree keeps one per vertex.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .paths import (
     parent,
     parse_path,
     path_target,
+    validate_path,
 )
 from .quiver import INF_VERTEX, DimVector, FramedQuiver, QuiverError, check_dim
 from .quiver import parse_number
@@ -59,8 +62,8 @@ class Subtree:
 
 
 def make_subtree(fq: FramedQuiver, order: PathOrder, paths) -> Subtree:
-    """Sort, adjoin the root, and check lower-closure."""
-    pool = {tuple(p) for p in paths}
+    """Check each path, sort, adjoin the root, and check lower-closure."""
+    pool = {validate_path(fq, tuple(p)) for p in paths}
     pool.add(ROOT)
     for u in pool:
         if u and parent(u) not in pool:
@@ -94,24 +97,19 @@ class CriticalSet:
     slices: tuple[tuple[Path, ...], ...]
 
 
-def critical_paths(fq: FramedQuiver, members: frozenset) -> list[Path]:
+def _children(fq: FramedQuiver, s: Subtree, order: PathOrder) -> list[Path]:
+    """The children of the members of s, ascending: as s is lower-closed,
+    its non-root members and its critical paths, each once."""
     out_arrows, targets = fq.out_arrows, fq.targets
-    out = []
-    for u in members:
-        for a in out_arrows[targets[u[-1]] if u else INF_VERTEX]:
-            c = u + (a,)
-            if c not in members:
-                out.append(c)
-    return out
+    return order.sort(
+        [u + (a,) for u in s.paths for a in out_arrows[targets[u[-1]] if u else INF_VERTEX]]
+    )
 
 
 def critical_set(fq: FramedQuiver, s: Subtree, order: PathOrder) -> CriticalSet:
-    """One ascending sweep over the subtree and its critical paths.
-
-    The subtree may be stored in another order, so both are sorted
-    together once; each critical path then takes as k the length its
-    vertex's slice has reached.  The root is first under every order, so
-    the non-root members are s.paths[1:].
+    """One ascending sweep over the children of the members (_children): a
+    member joins its vertex's slice, and any other child is critical and
+    takes as k the length its vertex's slice has reached.
 
     The set is rebuilt on each call and never stored on the Subtree: on
     the three-loop quiver at d=6, the critical sets of the 8,568 trees a
@@ -121,7 +119,7 @@ def critical_set(fq: FramedQuiver, s: Subtree, order: PathOrder) -> CriticalSet:
     members = s.path_set
     slices: list[list[Path]] = [[] for _ in range(fq.vertex_count)]
     crit, ks = [], []
-    for u in order.sort([*s.paths[1:], *critical_paths(fq, members)]):
+    for u in _children(fq, s, order):
         slice_u = slices[fq.targets[u[-1]]]
         if u in members:
             slice_u.append(u)
@@ -132,7 +130,16 @@ def critical_set(fq: FramedQuiver, s: Subtree, order: PathOrder) -> CriticalSet:
 
 
 def cell_dim(fq: FramedQuiver, s: Subtree, order: PathOrder) -> int:
-    return sum(critical_set(fq, s, order).k)
+    """The cell dimension sum(critical_set(fq, s, order).k), from the same
+    sweep: each critical path adds the members already passed at its vertex."""
+    members, targets = s.path_set, fq.targets
+    passed, dim = [0] * fq.vertex_count, 0
+    for u in _children(fq, s, order):
+        if u in members:
+            passed[targets[u[-1]]] += 1
+        else:
+            dim += passed[targets[u[-1]]]
+    return dim
 
 
 def tree_key(order: PathOrder, s: Subtree):

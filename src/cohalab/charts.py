@@ -204,26 +204,22 @@ def multiplicity_power(
     ]
     if not vanishing:
         return None
-    best: int | None = None
+    candidates = []
     for star in vanishing:
         others = [k for k in vanishing if k != star]
-        total = 0
-        ok = True
-        seen_any = False
+        powers = []  # the power of the distinguished coordinate in each survivor
         for det in minors:
             restricted = det.set_vars_zero(others)
             if restricted.is_zero():
                 continue
-            seen_any = True
-            powers = {exp[star] for exp in restricted.terms}
-            if len(powers) != 1 or 0 in powers:
-                ok = False
+            exps = {exp[star] for exp in restricted.terms}
+            if len(exps) != 1 or 0 in exps:
                 break
-            total += powers.pop()
-        if ok and seen_any:
-            if best is None or total < best:
-                best = total
-    return best
+            powers.append(exps.pop())
+        else:
+            if powers:
+                candidates.append(sum(powers))
+    return min(candidates, default=None)
 
 
 def rep_from_chart(
@@ -260,13 +256,8 @@ def rep_from_chart(
     mats = []
     for idx, a in enumerate(fq.arrows):
         if a.source == INF_VERTEX:
-            col = column_for((idx,))
-            mats.append(tuple((c,) for c in col))
+            mats.append(tuple((c,) for c in column_for((idx,))))
         else:
             cols = [column_for(u + (idx,)) for u in slices[a.source]]
-            rows = tuple(
-                tuple(cols[c][r] for c in range(len(cols)))
-                for r in range(d[a.target])
-            )
-            mats.append(rows)
+            mats.append(tuple(tuple(col[r] for col in cols) for r in range(d[a.target])))
     return NumericRep(fq, d, tuple(mats))

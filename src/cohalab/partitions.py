@@ -18,10 +18,10 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 
-from .cells import CellError, Subtree, critical_set, enumerate_trees
-from .paths import ROOT, PathOrder, path_target
+from .cells import CellError, Subtree, _children, enumerate_trees
+from .paths import ROOT, PathOrder
 from .quiver import INF_VERTEX, DimVector, FramedQuiver, check_dim, parse_number
 
 
@@ -48,7 +48,10 @@ class MultiPartition:
 
 def make_partition(fq: FramedQuiver, d: DimVector, parts) -> MultiPartition:
     d = check_dim(fq.base, d)
-    parts = [tuple(int(x) for x in lam) for lam in parts]
+    try:
+        parts = [tuple(map(operator.index, lam)) for lam in parts]
+    except TypeError:
+        raise CellError("partition parts must be integers") from None
     if len(parts) != fq.vertex_count:
         raise CellError("one partition per vertex required")
     padded = []
@@ -147,16 +150,22 @@ def tree_to_partition(
 ) -> MultiPartition:
     """Forward direction of the bijection.
 
-    lambda^{(i)}_{d_i - k} counts the critical elements at vertex i below
-    the (k+1)-st subtree element at that vertex.  A critical v at vertex i
-    lies below slices[i][k] exactly when k_v <= k, so the entry is the
-    number of critical v at vertex i with k_v <= k.
+    lambda^{(i)}_{d_i - k} counts the critical paths at vertex i below the
+    (k+1)-st subtree element there.  One sweep over the children of the
+    members (cells._children) counts the critical paths passed at each
+    vertex and records that count at each member; reversed, the counts
+    recorded at vertex i are lambda^{(i)}.
     """
-    crit = critical_set(fq, s, order)
-    at_k = [[0] * (len(slice_i) + 1) for slice_i in crit.slices]
-    for v, kv in zip(crit.paths, crit.k):
-        at_k[path_target(fq, v)][kv] += 1
-    return MultiPartition(tuple(tuple(accumulate(c[:-1]))[::-1] for c in at_k))
+    members, targets = s.path_set, fq.targets
+    passed = [0] * fq.vertex_count
+    below: list[list[int]] = [[] for _ in range(fq.vertex_count)]
+    for u in _children(fq, s, order):
+        i = targets[u[-1]]
+        if u in members:
+            below[i].append(passed[i])
+        else:
+            passed[i] += 1
+    return MultiPartition(tuple(tuple(b[::-1]) for b in below))
 
 
 def cell_labels(fq: FramedQuiver, d: DimVector) -> list[MultiPartition]:

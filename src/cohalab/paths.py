@@ -39,10 +39,12 @@ def children(fq: FramedQuiver, u: Path) -> list[Path]:
 
 
 def validate_path(fq: FramedQuiver, u: Path) -> Path:
-    at = INF_VERTEX
+    """u as a tuple, once its arrow indices are in range and compose."""
     for idx in u:
         if not 0 <= idx < len(fq.arrows):
             raise QuiverError(f"arrow index {idx} out of range")
+    at = INF_VERTEX
+    for idx in u:
         a = fq.arrows[idx]
         if a.source != at:
             raise QuiverError(

@@ -261,12 +261,7 @@ def serialize_quiver_file(fq: FramedQuiver) -> str:
     for a in fq.base.arrows:
         lines.append(f"arrow {a.name} {a.source} {a.target}")
     lines.append("framing " + " ".join(str(w) for w in fq.framing))
-    auto = FramedQuiver(fq.base, fq.framing)
-    if [a.name for a in auto.arrows[: fq.framing_count]] != [
-        a.name for a in fq.arrows[: fq.framing_count]
-    ]:
-        lines.append(
-            "framenames "
-            + " ".join(a.name for a in fq.arrows[: fq.framing_count])
-        )
+    names = [a.name for a in fq.arrows[: fq.framing_count]]
+    if names != [a.name for a in FramedQuiver(fq.base, fq.framing).arrows[: len(names)]]:
+        lines.append("framenames " + " ".join(names))
     return "\n".join(lines) + "\n"

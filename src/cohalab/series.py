@@ -82,20 +82,13 @@ class LaurentPoly:
     def __str__(self):
         if not self.coeffs:
             return "0"
-        parts = []
+        text = ""
         for e, c in self.coeffs:
-            if e == 0:
-                body = str(abs(c))
-            else:
-                power = "L" if e == 1 else f"L^{e}"
-                body = power if abs(c) == 1 else f"{abs(c)}*{power}"
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+            power = "L" if e == 1 else f"L^{e}"
+            body = str(abs(c)) if e == 0 else power if abs(c) == 1 else f"{abs(c)}*{power}"
+            text += f" {'-' if c < 0 else '+'} {body}"
+        # the leading term shows its sign only when it is negative
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def motivic_class(fq: FramedQuiver, d: DimVector) -> LaurentPoly:

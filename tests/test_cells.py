@@ -8,6 +8,7 @@ from cohalab import (
     WSHORTLEX,
     CellError,
     PathOrder,
+    QuiverError,
     cell_dim,
     classify,
     critical_set,
@@ -143,6 +144,7 @@ def test_sweep_matches_pairwise_definitions(fq, dims):
                     crit, k, slices, parts = pairwise_definitions(fq, s, order)
                     cs = critical_set(fq, s, order)
                     assert (cs.paths, cs.k, cs.slices) == (crit, k, slices)
+                    assert cell_dim(fq, s, order) == sum(k)
                     assert tree_to_partition(fq, s, order).parts == parts
 
 
@@ -245,6 +247,22 @@ def test_lower_closure_rejected(two_loop, shortlex):
 
     with pytest.raises(CellError):
         make_subtree(two_loop, shortlex, [parse_path(two_loop, "af")])
+
+
+def test_make_subtree_rejects_paths_that_do_not_compose(shortlex):
+    fq = framed_a2(2)  # arrows e, f: framing -> 0, and a: 0 -> 1
+    assert [a.name for a in fq.arrows] == ["e", "f", "a"]
+    for paths in ([(0,), (0, 2), (0, 2, 2)], [(2,)], [(0,), (0, 1)]):
+        with pytest.raises(QuiverError, match="do not compose"):
+            make_subtree(fq, shortlex, paths)
+
+
+def test_make_subtree_rejects_arrow_indices_out_of_range(shortlex):
+    fq = framed_a2(2)
+    # in (0, 0, 9) the second arrow does not compose either; the range is checked first
+    for bad in [(3,), (-1,), (0, 3), (0, 0, 9)]:
+        with pytest.raises(QuiverError, match="out of range"):
+            make_subtree(fq, shortlex, [(0,), bad])
 
 
 # -- classification ----------------------------------------------------------------

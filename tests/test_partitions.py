@@ -1,4 +1,5 @@
 import ast
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -72,6 +73,14 @@ def test_phi_vertex_only_empty():
     for parts in [(), (1,), (1, 1)]:
         lam = make_partition(fq, (2,), [parts])
         assert not satisfies_phi(fq, (2,), lam)
+
+
+@pytest.mark.parametrize(
+    "parts", [(1.7, 0.5), (2.0,), (Fraction(2),), ("2",), "2"], ids=repr
+)
+def test_make_partition_refuses_non_integer_parts(two_loop, parts):
+    with pytest.raises(CellError, match="must be integers"):
+        make_partition(two_loop, (3,), [parts])
 
 
 def test_phi_matches_oracle(two_loop):
