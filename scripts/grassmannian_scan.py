@@ -12,7 +12,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cohalab import FramedQuiver, Quiver, gaussian_binomial, motivic_class
+from cohalab import gaussian_binomial, motivic_class
+from cohalab.checks import vertex_only
 
 
 def main():
@@ -20,10 +21,9 @@ def main():
     parser.add_argument("--max-framing", type=int, default=7)
     args = parser.parse_args()
 
-    point = Quiver.make(1, [])
     bad = 0
     for w in range(args.max_framing + 1):
-        fq = FramedQuiver(point, (w,))
+        fq = vertex_only(w)
         for d in range(w + 1):
             mot = motivic_class(fq, (d,))
             gauss = gaussian_binomial(w, d)

@@ -15,15 +15,14 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cohalab import (
-    FramedQuiver,
     PathOrder,
-    Quiver,
     cell_dim,
     enumerate_trees,
     format_tree,
     multiplicity_power,
     tree_key,
 )
+from cohalab.checks import framed_loops
 
 
 def main():
@@ -31,8 +30,7 @@ def main():
     parser.add_argument("--dim", type=int, default=3)
     args = parser.parse_args()
 
-    base = Quiver.make(1, [("a", 0, 0), ("b", 0, 0)])
-    fq = FramedQuiver(base, (1,), ["f"])
+    fq = framed_loops(2, 1)
     d = (args.dim,)
 
     for label, order in [("shortlex", PathOrder.shortlex()), ("lex", PathOrder.lex())]:

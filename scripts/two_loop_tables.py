@@ -3,7 +3,9 @@
 
 For each path order, lists the cell labels of a given dimension in their
 total order with cell dimensions and partition labels, then the motivic
-class.  Defaults reproduce the d=3 tables.
+class.  Defaults reproduce the d=3 tables.  The quiver is the shared
+fixture checks.framed_loops; arguments it refuses (more loops than loop
+names, or a loop named like a framing arrow) end in a one-line error.
 """
 
 import argparse
@@ -13,9 +15,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cohalab import (
-    FramedQuiver,
     PathOrder,
-    Quiver,
+    QuiverError,
     cell_dim,
     enumerate_trees,
     format_partition,
@@ -23,6 +24,7 @@ from cohalab import (
     motivic_class,
     tree_to_partition,
 )
+from cohalab.checks import framed_loops
 
 
 def main():
@@ -31,13 +33,13 @@ def main():
     parser.add_argument("--loops", type=int, default=2)
     parser.add_argument("--framing", type=int, default=1)
     args = parser.parse_args()
+    if args.dim < 0:
+        sys.exit("error: --dim must be non-negative")
 
-    names = "abcdefgh"[: args.loops]
-    base = Quiver.make(1, [(c, 0, 0) for c in names])
-    frame_names = ["f"] if args.framing == 1 else ["e", "f"][: args.framing]
-    if args.framing > 2:
-        frame_names = None
-    fq = FramedQuiver(base, (args.framing,), frame_names)
+    try:
+        fq = framed_loops(args.loops, args.framing)
+    except QuiverError as exc:
+        sys.exit(f"error: {exc}")
     d = (args.dim,)
 
     for label, order in [("shortlex", PathOrder.shortlex()), ("lex", PathOrder.lex())]:

@@ -7,8 +7,11 @@ representations into cells, and tests degeneracy-locus membership, all in
 exact arithmetic.  The non-root members and the critical paths of a
 subtree are together exactly the children of its members, so
 critical_set, cell_dim and partitions.tree_to_partition each read one
-sorted list of those children.  classify grows its label greedily along
-one keyed critical list; partitions.partition_to_tree keeps one per vertex.
+sorted list of those children.  classify and partitions.partition_to_tree
+grow their labels greedily, adjoining in ascending order like
+enumerate_trees (a path classify passes over stays full or spanned; the
+nominee of partition_to_tree is the least member still missing), so the
+chains they build need no sort.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .paths import (
     validate_path,
 )
 from .quiver import INF_VERTEX, DimVector, FramedQuiver, QuiverError, check_dim
-from .quiver import parse_number
+from .quiver import parse_number, _utf8_text
 
 
 class CellError(ValueError):
@@ -42,15 +45,6 @@ class Subtree:
     """Lower-closed path set, root first, ascending in the defining order."""
 
     paths: tuple[Path, ...]
-
-    def __iter__(self):
-        return iter(self.paths)
-
-    def __len__(self):
-        return len(self.paths)
-
-    def __contains__(self, u: Path):
-        return u in self.path_set
 
     @property
     def path_set(self) -> frozenset:
@@ -143,7 +137,8 @@ def cell_dim(fq: FramedQuiver, s: Subtree, order: PathOrder) -> int:
 
 
 def tree_key(order: PathOrder, s: Subtree):
-    return tuple(order.key(u) for u in s.paths)
+    """The member keys ascending, whatever order s was stored under."""
+    return tuple(sorted(map(order.key, s.paths)))
 
 
 def tree_leq(order: PathOrder, a: Subtree, b: Subtree) -> bool:
@@ -319,7 +314,7 @@ def classify(fq: FramedQuiver, m: NumericRep, order: PathOrder) -> Subtree:
         chain.append(v)
         del crit[idx]
         adjoin(fq, order, crit, v)
-    return Subtree(tuple(order.sort(chain)))
+    return Subtree(tuple(chain))
 
 
 def in_cell(fq: FramedQuiver, m: NumericRep, s: Subtree, order: PathOrder) -> bool:
@@ -332,11 +327,10 @@ def in_cell(fq: FramedQuiver, m: NumericRep, s: Subtree, order: PathOrder) -> bo
     prefixes of the basis, so one sweep does both (see _critical_sweep): it
     stops at the first dependent prefix or the first critical vector
     outside its prefix's span, and after the last critical path it grows
-    each slice to its end.
+    each slice to its end.  The slice lengths are the counts of s.
     """
-    if udim(fq, s) != m.d:
-        return False
-    return _critical_sweep(fq, m, critical_set(fq, s, order), basis=True)
+    crit = critical_set(fq, s, order)
+    return tuple(map(len, crit.slices)) == m.d and _critical_sweep(fq, m, crit, basis=True)
 
 
 def in_degeneracy_locus(
@@ -351,9 +345,10 @@ def in_degeneracy_locus(
     family containing one, is dependent; otherwise the family is
     independent exactly when v lies outside the span of its prefix.
     """
-    if udim(fq, s) != m.d:
+    crit = critical_set(fq, s, order)
+    if tuple(map(len, crit.slices)) != m.d:
         raise CellError("subtree counts do not match the representation")
-    return _critical_sweep(fq, m, critical_set(fq, s, order), basis=False)
+    return _critical_sweep(fq, m, crit, basis=False)
 
 
 def _critical_sweep(
@@ -432,8 +427,7 @@ def random_stable_rep(
 
 
 def parse_rep_file(fq: FramedQuiver, text) -> NumericRep:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    text = _utf8_text(text)
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     rows: list[list[str]] = [ln.split() for ln in lines if ln]
     if not rows or rows[0][0] != "rep":
@@ -463,8 +457,8 @@ def parse_rep_file(fq: FramedQuiver, text) -> NumericRep:
                     f"{name!r} is a framing arrow; use a 'framing' block"
                 )
             nrows = d[a.target]
-            entries[name] = block(pos + 1, nrows)
-            pos += 1 + nrows
+            value = block(pos + 1, nrows)
+            size = 1 + nrows
         elif head[0] == "framing":
             if len(head) != 3:
                 raise QuiverError("expected: framing <vertex> <slot>")
@@ -476,8 +470,12 @@ def parse_rep_file(fq: FramedQuiver, text) -> NumericRep:
             offset = sum(fq.framing[:vertex]) + slot - 1
             name = fq.arrows[offset].name
             (column,) = block(pos + 1, 1)
-            entries[name] = [[c] for c in column]
-            pos += 2
+            value = [[c] for c in column]
+            size = 2
         else:
             raise QuiverError(f"unknown block {head[0]!r} in representation file")
+        if name in entries:
+            raise QuiverError(f"repeated block for arrow {name!r}")
+        entries[name] = value
+        pos += size
     return make_rep(fq, d, entries)

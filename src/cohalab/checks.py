@@ -21,7 +21,7 @@ from .coha import top_degree, verify_basis
 from .partitions import enumerate_partitions, format_partition
 from .partitions import partition_to_tree, tree_to_partition
 from .paths import PathOrder
-from .quiver import DimVector, FramedQuiver, Quiver
+from .quiver import DimVector, FramedQuiver, Quiver, QuiverError
 from .series import betti_numbers, gaussian_binomial, motivic_class, q_multinomial
 
 DEFAULT_SEED = 20240808
@@ -35,6 +35,8 @@ LEX = PathOrder.lex()
 
 def loop_quiver(loops: int) -> Quiver:
     names = "abcdefgh"
+    if not 0 <= loops <= len(names):
+        raise QuiverError(f"the loop quiver has 0 to {len(names)} loops, not {loops}")
     return Quiver.make(1, [(names[i], 0, 0) for i in range(loops)])
 
 

@@ -25,7 +25,7 @@ class DomainError(Exception):
 def _load_quiver(path: str) -> quiver.FramedQuiver:
     try:
         return quiver.parse_quiver_file(FilePath(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read quiver file: {exc}") from None
     except quiver.QuiverError as exc:
         raise DomainError(f"bad quiver file: {exc}") from None
@@ -352,7 +352,7 @@ def cmd_classify(args) -> int:
     order = _parse_order(args, fq)
     try:
         text = FilePath(args.rep).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read representation file: {exc}") from None
     rep = cells.parse_rep_file(fq, text)
     _emit_cells(args, fq, order, [cells.classify(fq, rep, order)])

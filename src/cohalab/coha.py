@@ -23,6 +23,7 @@ throughout.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -36,7 +37,6 @@ from .linalg import Span, rref
 from .partitions import MultiPartition, cell_labels, satisfies_phi
 from .polys import Coeff, Poly, divide, normal
 from .quiver import DimVector, FramedQuiver, Quiver, check_dim, euler_form, unit_vector
-from .series import motivic_class
 
 Signature = tuple[tuple[int, ...], ...]
 Expansion = tuple[tuple[tuple[int, ...], int], ...]  # (partition, coefficient) pairs
@@ -58,6 +58,17 @@ def var_name(d: DimVector, index: int) -> str:
 
 def _size(sig: Signature) -> int:
     return sum(map(sum, sig))
+
+
+def _natural(x, what: str) -> int:
+    """x as an int; CohaError unless it is an exact integer >= 0."""
+    try:
+        x = operator.index(x)
+    except TypeError:
+        raise CohaError(f"{what} must be an integer") from None
+    if x < 0:
+        raise CohaError(f"{what} must be non-negative")
+    return x
 
 
 @dataclass(frozen=True)
@@ -140,7 +151,8 @@ def monomial_symmetric(fq: FramedQuiver, d: DimVector, sig: Signature) -> SymPol
     d = check_dim(fq.base, d)
     if tuple(map(len, sig)) != d:
         raise CohaError("signature does not match the dimension vector")
-    return SymPoly(fq, d, {tuple(tuple(sorted(lam, reverse=True)) for lam in sig): 1})
+    sig = tuple(tuple(sorted((_natural(x, "exponent") for x in lam), reverse=True)) for lam in sig)
+    return SymPoly(fq, d, {sig: 1})
 
 
 def unit(fq: FramedQuiver, d: DimVector) -> SymPoly:
@@ -150,7 +162,10 @@ def unit(fq: FramedQuiver, d: DimVector) -> SymPoly:
 def elementary(fq: FramedQuiver, d: DimVector, i: int, k: int) -> SymPoly:
     """k-th elementary symmetric polynomial of the block at vertex i."""
     d = check_dim(fq.base, d)
-    if k < 0 or k > d[i]:
+    i, k = _natural(i, "vertex"), _natural(k, "elementary degree")
+    if i >= len(d):
+        raise CohaError(f"vertex {i} out of range")
+    if k > d[i]:
         raise CohaError(f"e_{k} undefined for a block of size {d[i]}")
     sig = [(0,) * dj for dj in d]
     sig[i] = (1,) * k + (0,) * (d[i] - k)
@@ -371,6 +386,7 @@ def slice_basis(d: DimVector, n: int) -> list[Signature]:
     A label is one partition per vertex (padded to d_i), total size n;
     sorted by the padded signature for a stable column order.
     """
+    d, n = tuple(_natural(x, "dimension entry") for x in d), _natural(n, "degree")
     nv = len(d)
 
     def rec(i, remaining):
@@ -440,9 +456,7 @@ def kernel_graded_piece(fq: FramedQuiver, d: DimVector, n: int) -> GradedSubspac
     factor ranges over subdimensions 0 < d' <= d and f, g over
     monomial-symmetric bases in the degrees allowed by the degree law.
     """
-    d = check_dim(fq.base, d)
-    if n < 0:
-        raise CohaError("negative degree")
+    d, n = check_dim(fq.base, d), _natural(n, "degree")
     basis = slice_basis(d, n)
     index = {sig: j for j, sig in enumerate(basis)}
     rows: list[tuple[Coeff, ...]] = []
@@ -505,7 +519,7 @@ def verify_basis(fq: FramedQuiver, d: DimVector, n: int) -> BasisReport:
     tautological monomials of those labels must stay independent modulo
     the kernel slice: each of their rows enlarges the span of the kernel.
     """
-    d = check_dim(fq.base, d)
+    d, n = check_dim(fq.base, d), _natural(n, "degree")
     kernel = kernel_graded_piece(fq, d, n)
     index = {sig: j for j, sig in enumerate(kernel.basis)}
     h_dim = len(index)
@@ -518,6 +532,6 @@ def verify_basis(fq: FramedQuiver, d: DimVector, n: int) -> BasisReport:
 
 
 def top_degree(fq: FramedQuiver, d: DimVector) -> int:
-    """Largest label size; the quotient vanishes strictly above it."""
-    low = motivic_class(fq, d).low_degree()
-    return -1 if low is None else fq.hilb_dim(d) - low
+    """Largest label size, -1 without labels; the quotient vanishes strictly
+    above it.  Read off the memoised labels that verify_basis reads too."""
+    return max((lam.size for lam in cell_labels(fq, d)), default=-1)

@@ -222,7 +222,7 @@ def partition_to_tree(
         del crit[i][m]
         left[i] -= 1
         chain.append(v)
-    return Subtree(tuple(order.sort(chain)))
+    return Subtree(tuple(chain))
 
 
 def partition_cell_dim(fq: FramedQuiver, d: DimVector, lam: MultiPartition) -> int:

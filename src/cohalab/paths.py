@@ -9,6 +9,7 @@ root (the trivial path at the framing vertex).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,7 +40,12 @@ def children(fq: FramedQuiver, u: Path) -> list[Path]:
 
 
 def validate_path(fq: FramedQuiver, u: Path) -> Path:
-    """u as a tuple, once its arrow indices are in range and compose."""
+    """u as a tuple of ints, once its arrow indices are integers, in range
+    and compose."""
+    try:
+        u = tuple(map(operator.index, u))
+    except TypeError:
+        raise QuiverError("arrow indices must be integers") from None
     for idx in u:
         if not 0 <= idx < len(fq.arrows):
             raise QuiverError(f"arrow index {idx} out of range")
@@ -51,7 +57,7 @@ def validate_path(fq: FramedQuiver, u: Path) -> Path:
                 f"arrows do not compose at {format_path(fq, u)!r}"
             )
         at = a.target
-    return tuple(u)
+    return u
 
 
 @dataclass(frozen=True)

@@ -213,9 +213,18 @@ class FramedQuiver:
 #   framenames <name_1> ... <name_F>   (optional; overrides auto names)
 
 
+def _utf8_text(text) -> str:
+    """text itself, or bytes decoded as UTF-8; QuiverError if they are not."""
+    if not isinstance(text, bytes):
+        return text
+    try:
+        return text.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise QuiverError(f"file is not UTF-8: {exc}") from None
+
+
 def parse_quiver_file(text) -> FramedQuiver:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    text = _utf8_text(text)
     vertex_count = None
     arrows: list[tuple[str, int, int]] = []
     framing = None

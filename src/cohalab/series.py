@@ -96,7 +96,7 @@ def motivic_class(fq: FramedQuiver, d: DimVector) -> LaurentPoly:
 
     Memoised per (quiver, d), d normalised by check_dim so that a list and
     a tuple share an entry; LaurentPoly is immutable, so betti_numbers
-    and top_degree reuse the class instead of enumerating the trees again.
+    reuses the class instead of enumerating the trees again.
     """
     return _motivic_class(fq, check_dim(fq.base, d))
 

@@ -476,5 +476,13 @@ def phi_box(fq: FramedQuiver, d: tuple[int, ...]) -> list[MultiPartition]:
 
 def oracle_orders(fq: FramedQuiver) -> tuple[PathOrder, ...]:
     """shortlex, lex, and a weighted shortlex that differs from both."""
-    weights = tuple(Fraction(a + 2, 2) for a in range(len(fq.arrows)))
-    return (PathOrder.shortlex(), PathOrder.lex(), PathOrder(WSHORTLEX, weights))
+    return (PathOrder.shortlex(), PathOrder.lex(), weighted_orders(fq)[0])
+
+
+def weighted_orders(fq: FramedQuiver) -> tuple[PathOrder, PathOrder]:
+    """Two weighted shortlex orders: weights rising along the arrow order,
+    and weights falling along it."""
+    n = len(fq.arrows)
+    rising = tuple(Fraction(a + 2, 2) for a in range(n))
+    falling = tuple(Fraction(n + 1 - a, 3) for a in range(n))
+    return PathOrder(WSHORTLEX, rising), PathOrder(WSHORTLEX, falling)

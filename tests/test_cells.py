@@ -7,7 +7,9 @@ import pytest
 from cohalab import (
     WSHORTLEX,
     CellError,
+    FramedQuiver,
     PathOrder,
+    Quiver,
     QuiverError,
     cell_dim,
     classify,
@@ -37,6 +39,7 @@ from helpers import (
     oracle_orders,
     path_vector_from_root,
     rank_fraction,
+    weighted_orders,
 )
 
 
@@ -257,6 +260,16 @@ def test_make_subtree_rejects_paths_that_do_not_compose(shortlex):
             make_subtree(fq, shortlex, paths)
 
 
+def test_make_subtree_rejects_arrow_indices_that_are_not_integers(shortlex):
+    fq = framed_a2(2)
+    for bad in [(0.0,), ("a",), (Fraction(0),)]:
+        with pytest.raises(QuiverError, match="must be integers"):
+            make_subtree(fq, shortlex, [bad])
+    # an int subclass is stored as the int it stands for
+    s = make_subtree(fq, shortlex, [(True,)])
+    assert s.paths == ((), (1,)) and type(s.paths[1][0]) is int
+
+
 def test_make_subtree_rejects_arrow_indices_out_of_range(shortlex):
     fq = framed_a2(2)
     # in (0, 0, 9) the second arrow does not compose either; the range is checked first
@@ -387,6 +400,34 @@ def test_int_rep_has_int_path_vectors(two_loop, shortlex):
     assert [type(mat[0][0]) for mat in parsed.matrices] == [int, Fraction, int]
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "rep 1\nmatrix a\n1\nmatrix a\n2\nframing 0 1\n1\n",
+        "rep 1\nframing 0 1\n1\nframing 0 1\n2\n",
+    ],
+    ids=["matrix", "framing"],
+)
+def test_parse_rep_file_refuses_a_repeated_block(two_loop, text):
+    with pytest.raises(QuiverError, match="repeated block"):
+        parse_rep_file(two_loop, text)
+
+
+def test_parse_rep_file_reads_bytes_as_utf8(two_loop):
+    text = "rep 1\nmatrix a\n1/2\nframing 0 1\n1\n"
+    assert parse_rep_file(two_loop, text.encode("utf-8")) == parse_rep_file(two_loop, text)
+    with pytest.raises(QuiverError, match="not UTF-8"):
+        parse_rep_file(two_loop, b"rep 1\nframing 0 1\n\xff\n")
+
+
+def test_membership_compares_counts_with_the_rep(two_loop, shortlex):
+    m = random_stable_rep(two_loop, (3,), Random(5))
+    s = parse_tree(two_loop, shortlex, "f,af")
+    assert not in_cell(two_loop, m, s, shortlex)
+    with pytest.raises(CellError, match="counts do not match"):
+        in_degeneracy_locus(two_loop, m, s, shortlex)
+
+
 def test_udim_of_parsed_tree(two_loop, shortlex):
     s = parse_tree(two_loop, shortlex, "f,af,bf")
     assert udim(two_loop, s) == (3,)
@@ -484,3 +525,51 @@ def test_degeneracy_locus_matches_rank_oracle(name, fq, dims):
     assert {got for got, _, _ in seen} == {True, False}
     assert {stable for _, stable, _ in seen} == {True, False}
     assert any(dependent for _, _, dependent in seen)
+
+
+# -- grown trees and the tree order ---------------------------------------------------
+
+
+CLASSIFY_CASES = [
+    (framed_loops(2, 1), [(d,) for d in range(1, 6)]),
+    (framed_loops(3, 2), [(d,) for d in range(1, 4)]),
+    (framed_a2(2), [d for d in product(range(3), repeat=2) if any(d)]),
+    (
+        FramedQuiver(Quiver.make(2, [("a", 0, 1), ("b", 1, 0)]), (1, 1)),
+        [d for d in product(range(4), repeat=2) if any(d)],
+    ),
+]
+
+
+def test_classify_builds_ascending_trees():
+    # the chain is not re-sorted: it must already be a tree enumerate_trees gives
+    rng = Random("classify-ascending")
+    grown = 0
+    for fq, dims in CLASSIFY_CASES:
+        orders = (PathOrder.shortlex(), *weighted_orders(fq))
+        for d in dims:
+            trees = {order: {s.paths for s in enumerate_trees(fq, d, order)} for order in orders}
+            for m in seeded_reps(fq, d, rng) + seeded_reps(fq, d, rng):
+                for order in orders:
+                    paths = classify(fq, m, order).paths
+                    assert list(paths) == order.sort(paths), (fq, d, order)
+                    assert paths in trees[order]
+                    grown += 1
+    assert grown > 200
+
+
+@pytest.mark.parametrize("loops, d", [(2, 4), (2, 5), (3, 4)])
+def test_tree_order_reads_trees_stored_under_another_order(loops, d):
+    fq = framed_loops(loops, 1)
+    shortlex, lex = PathOrder.shortlex(), PathOrder.lex()
+    for built, read in ((shortlex, lex), (lex, shortlex)):
+        trees = enumerate_trees(fq, (d,), built)
+        keys = [sorted(map(read.key, s.paths)) for s in trees]
+        for a, key_a in zip(trees, keys):
+            for b, key_b in zip(trees, keys):
+                assert tree_leq(read, a, b) == (key_a <= key_b)
+    # shortlex stores low as f, af, bf, aaf; under lex aaf < baf < bf, so low < high
+    if (loops, d) == (2, 4):
+        low = parse_tree(fq, shortlex, "f,af,bf,aaf")
+        high = parse_tree(fq, shortlex, "f,af,baf,bbaf")
+        assert tree_leq(lex, low, high) and not tree_leq(lex, high, low)

@@ -423,3 +423,30 @@ def test_bad_input_is_one_error_line(args, file_text, two_loop_file, tmp_path, c
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "args, data",
+    [
+        pytest.param(["trees", "--dim", "1"], b"vertices 1\n\xff\nframing 1\n", id="quiver-utf8"),
+        pytest.param(["classify"], b"rep 1\nframing 0 1\n\xff\n", id="rep-utf8"),
+        pytest.param(
+            ["classify"], b"rep 1\nmatrix a\n1\nmatrix a\n2\nframing 0 1\n1\n", id="rep-matrix-twice"
+        ),
+        pytest.param(
+            ["classify"], b"rep 1\nframing 0 1\n1\nframing 0 1\n1\n", id="rep-framing-twice"
+        ),
+    ],
+)
+def test_bad_file_bytes_are_one_error_line(args, data, two_loop_file, tmp_path, capsys):
+    path = tmp_path / "bad.in"
+    path.write_bytes(data)
+    if args == ["classify"]:
+        args = args + ["-r", str(path), "-q", two_loop_file]
+    else:
+        args = args + ["-q", str(path)]
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ")

@@ -16,6 +16,7 @@ from cohalab import (
     kernel_graded_piece,
     make_partition,
     monomial_symmetric,
+    motivic_class,
     shuffle_product,
     slice_basis,
     tautological_monomial,
@@ -24,7 +25,7 @@ from cohalab import (
     verify_basis,
 )
 from cohalab import coha
-from cohalab.checks import framed_an
+from cohalab.checks import framed_an, roundtrip_fixtures
 from cohalab.cli import run
 from cohalab.coha import SymPoly, _row, _schur_to_monomial
 from cohalab.linalg import rref
@@ -428,6 +429,46 @@ def test_kernel_is_left_submodule_slice(fq):
 def test_top_degree(two_loop):
     assert top_degree(two_loop, (3,)) == 3
     assert top_degree(vertex_only(1), (2,)) == -1
+
+
+def test_top_degree_is_hilb_dim_minus_lowest_cell_dim():
+    for fq, d in roundtrip_fixtures():
+        low = motivic_class(fq, d).low_degree()
+        assert top_degree(fq, d) == (-1 if low is None else fq.hilb_dim(d) - low), (fq, d)
+
+
+@pytest.mark.parametrize("build", [kernel_graded_piece, verify_basis])
+def test_degree_must_be_an_integer(two_loop, build):
+    with pytest.raises(CohaError, match="degree must be an integer"):
+        build(two_loop, (2,), 2.0)
+    with pytest.raises(CohaError, match="degree must be non-negative"):
+        build(two_loop, (2,), -1)
+    # an int subclass is stored as the int it stands for
+    assert type(build(two_loop, (2,), True).n) is int
+
+
+def test_kernel_refuses_negative_dimension_entries(two_loop):
+    with pytest.raises(CohaError, match="dimension entry must be non-negative"):
+        kernel_graded_piece(two_loop, (-1,), 0)
+
+
+def test_slice_basis_refuses_negative_or_inexact_input():
+    with pytest.raises(CohaError, match="dimension entry must be non-negative"):
+        slice_basis((-1,), 2)
+    with pytest.raises(CohaError, match="degree must be an integer"):
+        slice_basis((2,), 2.0)
+
+
+@pytest.mark.parametrize("lam", [(0.5, 1), (-1, 1)], ids=["half", "negative"])
+def test_monomial_symmetric_exponents_are_naturals(two_loop, lam):
+    with pytest.raises(CohaError, match="exponent must be"):
+        monomial_symmetric(two_loop, (2,), (lam,))
+
+
+@pytest.mark.parametrize("i", [-1, 2])
+def test_elementary_vertex_in_range(i):
+    with pytest.raises(CohaError, match="vertex"):
+        elementary(framed_a2(2), (2, 1), i, 1)
 
 
 def test_slice_basis_counts():

@@ -30,12 +30,18 @@ from cohalab import (
     tree_key,
     tree_to_partition,
 )
-from cohalab import partitions
+from cohalab import partitions, series
 from cohalab.checks import roundtrip_fixtures
-from cohalab.coha import verify_basis
+from cohalab.coha import top_degree, verify_basis
 from cohalab.partitions import MultiPartition
 from conftest import framed_loops, vertex_only
-from helpers import oracle_fixtures, oracle_orders, partition_to_tree_by_nominees, phi_box
+from helpers import (
+    oracle_fixtures,
+    oracle_orders,
+    partition_to_tree_by_nominees,
+    phi_box,
+    weighted_orders,
+)
 
 
 def phi_oracle(fq, d, lam):
@@ -257,10 +263,13 @@ def test_verify_basis_sweep_enumerates_trees_once(monkeypatch):
         return enumerate_trees(fq, d, order)
 
     partitions._cell_labels.cache_clear()
+    series._motivic_class.cache_clear()
     monkeypatch.setattr(partitions, "enumerate_trees", counting)
+    monkeypatch.setattr(series, "enumerate_trees", counting)
     fq = framed_loops(2, 1)
-    reports = [verify_basis(fq, (3,), n) for n in range(4)]
-    assert all(r.independent for r in reports)
+    # as coha-lab verify-basis sweeps: up to one past the top degree
+    reports = [verify_basis(fq, (3,), n) for n in range(top_degree(fq, (3,)) + 2)]
+    assert len(reports) == 5 and all(r.independent for r in reports)
     assert calls == [(3,)]
 
 
@@ -341,3 +350,24 @@ def test_partition_to_tree_matches_nominee_oracle(name, fq, dims):
                 assert got == tree_or_error(partition_to_tree_by_nominees, fq, lam, order)
                 labels += got is not CellError
     assert labels > 0
+
+
+GROWER_CASES = (
+    roundtrip_fixtures()
+    + [(TWO_CYCLE, d) for d in product(range(4), repeat=2) if any(d)]
+    + [(A3_FLAG, d) for d in product(range(5), repeat=3) if any(d) and sum(d) <= 7]
+)
+
+
+def test_partition_to_tree_builds_ascending_trees():
+    # the chain is not re-sorted: it must already be the enumerated tree
+    for fq, d in GROWER_CASES:
+        labels = enumerate_partitions(fq, d)
+        for order in (PathOrder.shortlex(), PathOrder.lex(), *weighted_orders(fq)):
+            trees = {s.paths for s in enumerate_trees(fq, d, order)}
+            built = set()
+            for lam in labels:
+                paths = partition_to_tree(fq, lam, order).paths
+                assert list(paths) == order.sort(paths), (fq, d, order, lam)
+                built.add(paths)
+            assert built == trees, (fq, d, order)

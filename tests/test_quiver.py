@@ -100,6 +100,11 @@ def test_parse_two_loop():
     assert fq.framing == (1,)
 
 
+def test_parse_refuses_bytes_that_are_not_utf8():
+    with pytest.raises(QuiverError, match="not UTF-8"):
+        parse_quiver_file(b"vertices 1\n\xff\nframing 1")
+
+
 def test_parse_framed_a2():
     fq = parse_quiver_file("vertices 2\narrow a 0 1\nframing 1 0")
     assert fq.vertex_count == 2

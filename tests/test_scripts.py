@@ -28,3 +28,20 @@ def test_script_runs(script):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.rstrip().endswith(ending)
+
+
+@pytest.mark.parametrize(
+    "args", [["--loops", "6"], ["--loops", "5", "--framing", "2"], ["--loops", "9"]]
+)
+def test_two_loop_tables_refuses_a_quiver_it_cannot_build(args):
+    # a sixth loop is named f, like the framing arrow; there are eight loop names
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "two_loop_tables.py"), *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.count("\n") == 1
+    assert done.stderr.startswith("error: ")
