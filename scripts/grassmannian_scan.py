@@ -20,6 +20,8 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-framing", type=int, default=7)
     args = parser.parse_args()
+    if args.max_framing < 0:
+        sys.exit("error: --max-framing must be non-negative")
 
     bad = 0
     for w in range(args.max_framing + 1):

@@ -29,6 +29,8 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--dim", type=int, default=3)
     args = parser.parse_args()
+    if args.dim < 0:
+        sys.exit("error: --dim must be non-negative")
 
     fq = framed_loops(2, 1)
     d = (args.dim,)

@@ -8,10 +8,12 @@ exact arithmetic.  The non-root members and the critical paths of a
 subtree are together exactly the children of its members, so
 critical_set, cell_dim and partitions.tree_to_partition each read one
 sorted list of those children.  classify and partitions.partition_to_tree
-grow their labels greedily, adjoining in ascending order like
-enumerate_trees (a path classify passes over stays full or spanned; the
-nominee of partition_to_tree is the least member still missing), so the
-chains they build need no sort.
+grow their labels in one walk (_walk) that meets those children in
+ascending order by traversing the path tree with arrows ascending:
+breadth first for shortlex, depth-first preorder for lex, and a heap on
+the key for weighted shortlex.  Each child is asked once whether it
+joins, and the members come out ascending, so nothing is sorted.
+enumerate_trees backtracks instead, over critical lists kept by adjoin.
 """
 
 from __future__ import annotations
@@ -19,11 +21,14 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from random import Random
 
 from .linalg import Span, Vector, vec
 from .paths import (
+    LEX,
     ROOT,
+    SHORTLEX,
     Path,
     PathOrder,
     format_path,
@@ -146,10 +151,51 @@ def tree_leq(order: PathOrder, a: Subtree, b: Subtree) -> bool:
     return tree_key(order, a) <= tree_key(order, b)
 
 
+def _walk(fq: FramedQuiver, order: PathOrder, take) -> tuple[Path, ...]:
+    """The lower-closed set grown from the root by take, ascending.
+
+    Meets the children of the members in ascending order and asks
+    take(c, i) once whether the child c, at vertex i, joins; the children
+    of a child that joins are met in their turn.  The path tree is
+    traversed with arrows ascending: shortlex breadth first (the members
+    list is the queue), lex depth-first preorder, and weighted shortlex by
+    a heap of keys, which grow along every path.  In every case the members
+    are met, and returned, in ascending order.
+    """
+    out_arrows, targets = fq.out_arrows, fq.targets
+    members = [ROOT]
+    if order.kind == SHORTLEX:
+        for u in members:  # the loop also reaches the members it appends
+            for a in out_arrows[targets[u[-1]] if u else INF_VERTEX]:
+                c = u + (a,)
+                if take(c, targets[a]):
+                    members.append(c)
+    elif order.kind == LEX:
+        stack = [((a,), targets[a]) for a in reversed(out_arrows[INF_VERTEX])]
+        while stack:
+            c, i = stack.pop()
+            if take(c, i):
+                members.append(c)
+                stack.extend([(c + (a,), targets[a]) for a in reversed(out_arrows[i])])
+    else:
+        key = order.key
+        heap = [key((a,)) for a in out_arrows[INF_VERTEX]]
+        heapify(heap)
+        while heap:
+            c = heappop(heap)[-1]
+            i = targets[c[-1]]
+            if take(c, i):
+                members.append(c)
+                for a in out_arrows[i]:
+                    heappush(heap, key(c + (a,)))
+    return tuple(members)
+
+
 def adjoin(
     fq: FramedQuiver, order: PathOrder, crit: list[tuple], v: Path
 ) -> list[tuple]:
-    """The ascending critical list once v joins the tree.
+    """The ascending critical list once v joins the tree, for the
+    backtracking of enumerate_trees.
 
     The list holds (order.key(path), path) pairs: each key is computed
     once, when its path becomes critical.  Keys are unique per path, so
@@ -292,29 +338,24 @@ def make_rep(fq: FramedQuiver, d: DimVector, entries) -> NumericRep:
 def classify(fq: FramedQuiver, m: NumericRep, order: PathOrder) -> Subtree:
     """The unique cell label of a stable representation.
 
-    Greedy growth from the root: each step walks the ascending critical
-    list of (key, path) pairs (see adjoin) and adjoins the first path whose
-    vector falls outside the span of the vectors collected so far at its
-    vertex, while that vertex's span is short of d_i.  Only monomial
-    orders make the greedy step valid.
+    One walk (_walk) from the root: a child joins when its vertex i is
+    short of d_i and its vector falls outside the span of the vectors
+    collected so far at i.  A rejected child stays rejected, as its vertex
+    stays full or its vector inside a span that only grows, so meeting
+    each child once, in ascending order, grows the greedy label.  Only
+    monomial orders make the greedy step valid.
     """
     if not order.is_monomial:
         raise CellError("classify requires a monomial order (shortlex kinds)")
-    spans = [Span(di) for di in m.d]
-    targets = fq.targets
-    chain = [ROOT]
-    crit = adjoin(fq, order, [], ROOT)
-    for _ in range(sum(m.d)):
-        for idx, (_, v) in enumerate(crit):
-            i = targets[v[-1]]
-            if spans[i].rank < m.d[i] and spans[i].add(m.path_vector(v)):
-                break
-        else:
-            raise CellError("not stable: framing does not generate the representation")
-        chain.append(v)
-        del crit[idx]
-        adjoin(fq, order, crit, v)
-    return Subtree(tuple(chain))
+    d, spans = m.d, [Span(di) for di in m.d]
+
+    def take(c: Path, i: int) -> bool:
+        return spans[i].rank < d[i] and spans[i].add(m.path_vector(c))
+
+    members = _walk(fq, order, take)
+    if len(members) <= sum(d):
+        raise CellError("not stable: framing does not generate the representation")
+    return Subtree(members)
 
 
 def in_cell(fq: FramedQuiver, m: NumericRep, s: Subtree, order: PathOrder) -> bool:

@@ -468,14 +468,15 @@ def kernel_graded_piece(fq: FramedQuiver, d: DimVector, n: int) -> GradedSubspac
         if budget < 0:
             continue
         for p in range(budget + 1):
-            # e_w cup m_sig is m_{sig + w}
+            # e_w cup m_sig is m_{sig + w}; slice_basis signatures, shifted
+            # or not, are canonical, so each m_sig is built without re-checks
             shifted = (
                 tuple(tuple(x + w for x in lam) for w, lam in zip(fq.framing, sig))
                 for sig in slice_basis(dprime, budget - p)
             )
-            gpolys = [monomial_symmetric(fq, dprime, sig) for sig in shifted]
+            gpolys = [SymPoly(fq, dprime, {sig: 1}) for sig in shifted]
             for sig_f in slice_basis(rest, p):
-                fpoly = monomial_symmetric(fq, rest, sig_f)
+                fpoly = SymPoly(fq, rest, {sig_f: 1})
                 for gpoly in gpolys:
                     gen = shuffle_product(fpoly, gpoly)
                     if gen.is_zero():

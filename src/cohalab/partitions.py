@@ -3,8 +3,10 @@
 A multipartition assigns to each vertex a weakly decreasing tuple of
 naturals of length d_i (trailing zeros kept internally, suppressed in
 display).  Production labels are read off the shortlex subtrees through
-the bijection (cell_labels); partition_to_tree inverts it by reading one
-index per vertex off per-vertex critical lists.  enumerate_partitions
+the bijection (cell_labels); partition_to_tree inverts it in one walk of
+the path tree (cells._walk: breadth first for shortlex, depth-first
+preorder for lex, a heap for weighted shortlex), counting the critical
+paths it passes at each vertex.  enumerate_partitions
 brute-forces the labels from the box-counting condition alone, tested on
 raw tuples against a per-box table that satisfies_phi reads as well, and
 never touches trees: it is the independent phi oracle of checks.py, the
@@ -13,16 +15,15 @@ tests and the benchmark.
 
 from __future__ import annotations
 
-import bisect
 import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
-from .cells import CellError, Subtree, _children, enumerate_trees
-from .paths import ROOT, PathOrder
-from .quiver import INF_VERTEX, DimVector, FramedQuiver, check_dim, parse_number
+from .cells import CellError, Subtree, _children, _walk, enumerate_trees
+from .paths import Path, PathOrder
+from .quiver import DimVector, FramedQuiver, check_dim, parse_number
 
 
 @dataclass(frozen=True)
@@ -189,40 +190,32 @@ def _cell_labels(fq: FramedQuiver, d: DimVector) -> tuple[MultiPartition, ...]:
 def partition_to_tree(
     fq: FramedQuiver, lam: MultiPartition, order: PathOrder
 ) -> Subtree:
-    """Inverse direction of the bijection, by greedy growth.
+    """Inverse direction of the bijection, by one walk of the path tree.
 
-    Each vertex keeps its ascending list of (order.key(path), path)
-    critical pairs.  With counts beta adjoined so far, vertex i nominates
-    the entry of index m = lambda^{(i)}_{d_i - beta_i} of its list, and the
-    order-minimal nominee joins the tree; its children are bisected into
-    the lists of their targets.  Vertex i has exactly c(beta)_i critical
-    paths, so an index m >= c(beta)_i nominates nothing, and neither does
-    a full vertex (index 0, the sentinel).  The growth stalls exactly when
-    the partition fails the labelling condition.
+    The walk (cells._walk) meets the children of the growing tree in
+    ascending order, counting the critical paths passed at each vertex.
+    With beta_i members at vertex i so far, a child there joins exactly
+    when i is not full and that count equals lambda^{(i)}_{d_i - beta_i},
+    which is what tree_to_partition reads back.  The count grows by one per
+    critical path and the next entry is no smaller, so a vertex that is
+    still short when the walk ends can never fill: the partition fails the
+    labelling condition.
     """
     d = check_dim(fq.base, lam.shape())
-    key, targets, out_arrows = order.key, fq.targets, fq.out_arrows
-    crit: list[list[tuple]] = [[] for _ in d]
-    left = list(d)
-    chain = [ROOT]
-    v = ROOT
-    for _ in range(sum(d)):
-        for a in out_arrows[targets[v[-1]] if v else INF_VERTEX]:
-            u = v + (a,)
-            bisect.insort(crit[targets[a]], (key(u), u))
-        best = None
-        for i, (parts, crit_i, n) in enumerate(zip(lam.parts, crit, left)):
-            if n and parts[n - 1] < len(crit_i):
-                m = parts[n - 1]
-                if best is None or crit_i[m] < best[0]:
-                    best = (crit_i[m], i, m)
-        if best is None:
-            raise CellError("partition does not label a cell (construction stalls)")
-        (_, v), i, m = best
-        del crit[i][m]
-        left[i] -= 1
-        chain.append(v)
-    return Subtree(tuple(chain))
+    parts, left, passed = lam.parts, list(d), [0] * len(d)
+
+    def take(c: Path, i: int) -> bool:
+        n = left[i]
+        if n and passed[i] == parts[i][n - 1]:
+            left[i] = n - 1
+            return True
+        passed[i] += 1
+        return False
+
+    members = _walk(fq, order, take)
+    if any(left):
+        raise CellError("partition does not label a cell (construction stalls)")
+    return Subtree(members)
 
 
 def partition_cell_dim(fq: FramedQuiver, d: DimVector, lam: MultiPartition) -> int:

@@ -10,8 +10,9 @@ root (the trivial path at the framing vertex).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .quiver import INF_VERTEX, FramedQuiver, QuiverError
 
@@ -67,11 +68,16 @@ class PathOrder:
     shortlex and weighted-shortlex are monomial (stable under composing
     with a common arrow on the left); lex is admissible only.  Weights are
     positive rationals per arrow index, required exactly for the weighted
-    kind; arrows missing from a name-keyed weight map default to 1.
+    kind; arrows missing from a name-keyed weight map default to 1.  The
+    weighted key sums _int_weights, the weights scaled once by the lcm of
+    their denominators: the same order, without Fraction arithmetic.
     """
 
     kind: str
     weights: tuple[Fraction, ...] | None = None
+    _int_weights: tuple[int, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.kind not in (SHORTLEX, WSHORTLEX, LEX):
@@ -80,6 +86,10 @@ class PathOrder:
             raise ValueError("weights are given iff kind is weighted-shortlex")
         if self.weights is not None and any(w <= 0 for w in self.weights):
             raise ValueError("weights must be strictly positive")
+        if self.weights is not None:
+            exact = [Fraction(w) for w in self.weights]
+            scale = lcm(*(w.denominator for w in exact))
+            object.__setattr__(self, "_int_weights", tuple(int(w * scale) for w in exact))
 
     @classmethod
     def shortlex(cls) -> "PathOrder":
@@ -102,14 +112,13 @@ class PathOrder:
         shortlex: (length, arrows in application order); ties at equal
         length resolve at the first differing applied arrow.  lex: the
         applied tuple itself, prefixes sorting first.  weighted-shortlex:
-        total weight, then shortlex.
+        total weight (in the integer scale of _int_weights), then shortlex.
         """
         if self.kind == SHORTLEX:
             return (len(u), u)
         if self.kind == LEX:
             return u
-        wt = sum((self.weights[a] for a in u), Fraction(0))
-        return (wt, len(u), u)
+        return (sum(map(self._int_weights.__getitem__, u)), len(u), u)
 
     def compare(self, u: Path, v: Path) -> int:
         ku, kv = self.key(u), self.key(v)

@@ -8,7 +8,15 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from typing import Mapping
 
-from cohalab.cells import CellError, NumericRep, Subtree, critical_set, make_subtree, udim
+from cohalab.cells import (
+    CellError,
+    NumericRep,
+    Subtree,
+    adjoin,
+    critical_set,
+    make_subtree,
+    udim,
+)
 from cohalab.checks import framed_a2, framed_loops, vertex_only
 from cohalab.coha import CohaError, SymPoly, _vandermonde, block_offsets
 from cohalab.linalg import Span
@@ -164,6 +172,33 @@ def in_cell_pairwise(
         if not below.contains(path_vector_from_root(m, v)):
             return False
     return True
+
+
+def classify_by_restart(fq: FramedQuiver, m: NumericRep, order: PathOrder) -> Subtree:
+    """The unique cell label of a stable representation, by greedy growth
+    that restarts each step at the least critical path.
+
+    Each step walks the ascending critical list of (key, path) pairs (kept
+    by adjoin) and adjoins the first path whose vector falls outside the
+    span of the vectors collected so far at its vertex, while that
+    vertex's span is short of d_i.
+    """
+    if not order.is_monomial:
+        raise CellError("classify requires a monomial order (shortlex kinds)")
+    spans = [Span(di) for di in m.d]
+    chain = [ROOT]
+    crit = adjoin(fq, order, [], ROOT)
+    for _ in range(sum(m.d)):
+        for idx, (_, v) in enumerate(crit):
+            i = path_target(fq, v)
+            if spans[i].rank < m.d[i] and spans[i].add(m.path_vector(v)):
+                break
+        else:
+            raise CellError("not stable: framing does not generate the representation")
+        chain.append(v)
+        del crit[idx]
+        adjoin(fq, order, crit, v)
+    return Subtree(tuple(chain))
 
 
 def in_degeneracy_locus_by_rank(

@@ -32,6 +32,7 @@ from cohalab.linalg import rref
 from cohalab.paths import ROOT, children, path_target
 from conftest import framed_a2, framed_loops, vertex_only
 from helpers import (
+    classify_by_restart,
     enumerate_trees_recursive,
     in_cell_pairwise,
     in_degeneracy_locus_by_rank,
@@ -556,6 +557,30 @@ def test_classify_builds_ascending_trees():
                     assert paths in trees[order]
                     grown += 1
     assert grown > 200
+
+
+def label_or_error(grow, fq, m, order):
+    try:
+        return grow(fq, m, order)
+    except CellError:
+        return CellError
+
+
+def test_classify_matches_restart_oracle():
+    # seeded stable reps, then sparse and zero ones, stable or not: the walk
+    # grows the label the restarting greedy grows, or both refuse the rep
+    rng = Random("classify-restart")
+    outcomes = set()
+    for fq, dims in CLASSIFY_CASES:
+        orders = (PathOrder.shortlex(), *weighted_orders(fq))
+        for d in dims:
+            reps = seeded_reps(fq, d, rng) + [random_rep(fq, d, rng, b) for b in (1, 1, 0)]
+            for m in reps:
+                for order in orders:
+                    got = label_or_error(classify, fq, m, order)
+                    assert got == label_or_error(classify_by_restart, fq, m, order), (fq, d)
+                    outcomes.add(got is CellError)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("loops, d", [(2, 4), (2, 5), (3, 4)])

@@ -31,9 +31,11 @@ from cohalab import (
     tree_to_partition,
 )
 from cohalab import partitions, series
+from cohalab.cells import _children, _walk
 from cohalab.checks import roundtrip_fixtures
 from cohalab.coha import top_degree, verify_basis
 from cohalab.partitions import MultiPartition
+from cohalab.paths import path_target
 from conftest import framed_loops, vertex_only
 from helpers import (
     oracle_fixtures,
@@ -357,6 +359,23 @@ GROWER_CASES = (
     + [(TWO_CYCLE, d) for d in product(range(4), repeat=2) if any(d)]
     + [(A3_FLAG, d) for d in product(range(5), repeat=3) if any(d) and sum(d) <= 7]
 )
+
+
+def test_walk_meets_the_children_of_each_tree_in_order():
+    # with membership in s as the question, the walk asks about exactly the
+    # children of the members, ascending, and grows s itself
+    for fq, d in GROWER_CASES:
+        for order in (PathOrder.shortlex(), PathOrder.lex(), *weighted_orders(fq)):
+            for s in enumerate_trees(fq, d, order):
+                members, asked = s.path_set, []
+
+                def take(c, i):
+                    asked.append((c, i))
+                    return c in members
+
+                assert _walk(fq, order, take) == s.paths, (fq, d, order)
+                expected = [(c, path_target(fq, c)) for c in _children(fq, s, order)]
+                assert asked == expected, (fq, d, order)
 
 
 def test_partition_to_tree_builds_ascending_trees():

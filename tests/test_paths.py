@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -97,6 +98,26 @@ def test_total_order_up_to_length_five(two_loop, kind):
     ranked = sorted(pool, key=order.key)
     for u, v in zip(ranked, ranked[1:]):
         assert order.compare(u, v) == -1  # transitive chain is consistent
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        {"a": "1/2", "b": "2/3", "c": "5/7"},
+        {"a": "3/2", "b": 1, "c": "7/4"},
+        {"a": "1/2", "b": 1, "c": "1/3"},  # aaf and bf tie in weight
+    ],
+)
+def test_integer_weighted_keys_sort_like_fraction_keys(weights):
+    fq = framed_loops(3, 1)
+    order = PathOrder.weighted_shortlex(fq, weights)
+
+    def fraction_key(u):
+        return (sum((order.weights[a] for a in u), Fraction(0)), len(u), u)
+
+    pool = paths_up_to_length(fq, 5)
+    assert all(type(order.key(u)[0]) is int for u in pool)
+    assert sorted(pool, key=order.key) == sorted(pool, key=fraction_key)
 
 
 @pytest.mark.parametrize("kind", ["shortlex", "lex", "weighted"])

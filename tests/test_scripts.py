@@ -35,8 +35,21 @@ def test_script_runs(script):
 )
 def test_two_loop_tables_refuses_a_quiver_it_cannot_build(args):
     # a sixth loop is named f, like the framing arrow; there are eight loop names
+    assert_refused("two_loop_tables.py", args)
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [("order_dependence.py", ["--dim", "-1"]), ("grassmannian_scan.py", ["--max-framing", "-1"])],
+)
+def test_script_refuses_a_negative_size(script, args):
+    assert_refused(script, args)
+
+
+def assert_refused(script, args):
+    """The script exits 1 with one error: line and no output."""
     done = subprocess.run(
-        [sys.executable, str(SCRIPTS / "two_loop_tables.py"), *args],
+        [sys.executable, str(SCRIPTS / script), *args],
         capture_output=True,
         text=True,
         timeout=120,
