@@ -42,6 +42,8 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-degree", type=int, help="stop after this degree")
     args = parser.parse_args()
+    if args.max_degree is not None and args.max_degree < 0:
+        sys.exit("error: --max-degree must be non-negative")
 
     bad = 0
     for name in sorted(CASES):

@@ -5,15 +5,14 @@ tree) with prescribed per-vertex counts.  This module enumerates labels,
 computes critical sets and cell dimensions, classifies explicit rational
 representations into cells, and tests degeneracy-locus membership, all in
 exact arithmetic.  The non-root members and the critical paths of a
-subtree are together exactly the children of its members, so
-critical_set, cell_dim and partitions.tree_to_partition each read one
-sorted list of those children.  classify and partitions.partition_to_tree
-grow their labels in one walk (_walk) that meets those children in
-ascending order by traversing the path tree with arrows ascending:
-breadth first for shortlex, depth-first preorder for lex, and a heap on
-the key for weighted shortlex.  Each child is asked once whether it
-joins, and the members come out ascending, so nothing is sorted.
-enumerate_trees backtracks instead, over critical lists kept by adjoin.
+subtree are together exactly the children of its members, so every tree
+question is one walk (_walk) that meets those children in ascending
+order and asks once whether each joins: make_subtree, critical_set,
+cell_dim and partitions.tree_to_partition ask whether it is a member,
+classify and partitions.partition_to_tree whether it joins the label they
+grow.  One rule (adjoin) places the children of a path among the paths
+still to meet, and enumerate_trees backtracks over the critical lists it
+keeps, so nothing is sorted.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from random import Random
 
 from .linalg import Span, Vector, vec
@@ -61,15 +59,16 @@ class Subtree:
 
 
 def make_subtree(fq: FramedQuiver, order: PathOrder, paths) -> Subtree:
-    """Check each path, sort, adjoin the root, and check lower-closure."""
+    """Check each path, adjoin the root, and check lower-closure: the walk
+    from the root meets the pool ascending, and reaches all of it exactly
+    when it is lower-closed."""
     pool = {validate_path(fq, tuple(p)) for p in paths}
     pool.add(ROOT)
-    for u in pool:
-        if u and parent(u) not in pool:
-            raise CellError(
-                f"not lower-closed: {format_path(fq, u)} without its parent"
-            )
-    return Subtree(tuple(order.sort(pool)))
+    members = _walk(fq, order, lambda c, i: c in pool)
+    if len(members) < len(pool):
+        u = next(u for u in pool if u and parent(u) not in pool)
+        raise CellError(f"not lower-closed: {format_path(fq, u)} without its parent")
+    return Subtree(members)
 
 
 def udim(fq: FramedQuiver, s: Subtree) -> DimVector:
@@ -96,19 +95,11 @@ class CriticalSet:
     slices: tuple[tuple[Path, ...], ...]
 
 
-def _children(fq: FramedQuiver, s: Subtree, order: PathOrder) -> list[Path]:
-    """The children of the members of s, ascending: as s is lower-closed,
-    its non-root members and its critical paths, each once."""
-    out_arrows, targets = fq.out_arrows, fq.targets
-    return order.sort(
-        [u + (a,) for u in s.paths for a in out_arrows[targets[u[-1]] if u else INF_VERTEX]]
-    )
-
-
 def critical_set(fq: FramedQuiver, s: Subtree, order: PathOrder) -> CriticalSet:
-    """One ascending sweep over the children of the members (_children): a
-    member joins its vertex's slice, and any other child is critical and
-    takes as k the length its vertex's slice has reached.
+    """One walk over the children of the members (_walk), asking whether
+    each is a member: a member joins its vertex's slice, and any other
+    child is critical and takes as k the length its vertex's slice has
+    reached.
 
     The set is rebuilt on each call and never stored on the Subtree: on
     the three-loop quiver at d=6, the critical sets of the 8,568 trees a
@@ -118,26 +109,33 @@ def critical_set(fq: FramedQuiver, s: Subtree, order: PathOrder) -> CriticalSet:
     members = s.path_set
     slices: list[list[Path]] = [[] for _ in range(fq.vertex_count)]
     crit, ks = [], []
-    for u in _children(fq, s, order):
-        slice_u = slices[fq.targets[u[-1]]]
-        if u in members:
-            slice_u.append(u)
-        else:
-            crit.append(u)
-            ks.append(len(slice_u))
+
+    def take(c: Path, i: int) -> bool:
+        if c in members:
+            slices[i].append(c)
+            return True
+        crit.append(c)
+        ks.append(len(slices[i]))
+        return False
+
+    _walk(fq, order, take)
     return CriticalSet(tuple(crit), tuple(ks), tuple(map(tuple, slices)))
 
 
 def cell_dim(fq: FramedQuiver, s: Subtree, order: PathOrder) -> int:
     """The cell dimension sum(critical_set(fq, s, order).k), from the same
-    sweep: each critical path adds the members already passed at its vertex."""
-    members, targets = s.path_set, fq.targets
-    passed, dim = [0] * fq.vertex_count, 0
-    for u in _children(fq, s, order):
-        if u in members:
-            passed[targets[u[-1]]] += 1
-        else:
-            dim += passed[targets[u[-1]]]
+    walk: each critical path adds the members already passed at its vertex."""
+    members, passed, dim = s.path_set, [0] * fq.vertex_count, 0
+
+    def take(c: Path, i: int) -> bool:
+        nonlocal dim
+        if c in members:
+            passed[i] += 1
+            return True
+        dim += passed[i]
+        return False
+
+    _walk(fq, order, take)
     return dim
 
 
@@ -156,11 +154,10 @@ def _walk(fq: FramedQuiver, order: PathOrder, take) -> tuple[Path, ...]:
 
     Meets the children of the members in ascending order and asks
     take(c, i) once whether the child c, at vertex i, joins; the children
-    of a child that joins are met in their turn.  The path tree is
-    traversed with arrows ascending: shortlex breadth first (the members
-    list is the queue), lex depth-first preorder, and weighted shortlex by
-    a heap of keys, which grow along every path.  In every case the members
-    are met, and returned, in ascending order.
+    of a child that joins are met in their turn.  Shortlex runs breadth
+    first, the members list being the queue; the other orders keep the
+    children still to meet in one ascending frontier, where adjoin places
+    the children of each new member.  The members come out ascending.
     """
     out_arrows, targets = fq.out_arrows, fq.targets
     members = [ROOT]
@@ -170,45 +167,35 @@ def _walk(fq: FramedQuiver, order: PathOrder, take) -> tuple[Path, ...]:
                 c = u + (a,)
                 if take(c, targets[a]):
                     members.append(c)
-    elif order.kind == LEX:
-        stack = [((a,), targets[a]) for a in reversed(out_arrows[INF_VERTEX])]
-        while stack:
-            c, i = stack.pop()
-            if take(c, i):
-                members.append(c)
-                stack.extend([(c + (a,), targets[a]) for a in reversed(out_arrows[i])])
-    else:
-        key = order.key
-        heap = [key((a,)) for a in out_arrows[INF_VERTEX]]
-        heapify(heap)
-        while heap:
-            c = heappop(heap)[-1]
-            i = targets[c[-1]]
-            if take(c, i):
-                members.append(c)
-                for a in out_arrows[i]:
-                    heappush(heap, key(c + (a,)))
+        return tuple(members)
+    frontier = adjoin(order, [], -1, [(a,) for a in out_arrows[INF_VERTEX]])
+    for j, c in enumerate(frontier):  # the loop also reaches what adjoin inserts
+        i = targets[c[-1]]
+        if take(c, i):
+            members.append(c)
+            adjoin(order, frontier, j, [c + (a,) for a in out_arrows[i]])
     return tuple(members)
 
 
-def adjoin(
-    fq: FramedQuiver, order: PathOrder, crit: list[tuple], v: Path
-) -> list[tuple]:
-    """The ascending critical list once v joins the tree, for the
-    backtracking of enumerate_trees.
+def adjoin(order: PathOrder, frontier: list[Path], j: int, kids: list[Path]) -> list[Path]:
+    """Place kids, the children of frontier[j] in arrow order, into the
+    ascending frontier, in place, and return it.
 
-    The list holds (order.key(path), path) pairs: each key is computed
-    once, when its path becomes critical.  Keys are unique per path, so
-    comparing pairs never reaches the path.  crit is the ascending list
-    without v; it is updated in place and returned.  The children of v
-    are new critical paths, each inserted at its place by bisection, so
-    nothing is re-sorted.
+    The paths up to j precede the kids, and each path above j has a parent
+    that precedes frontier[j].  So under shortlex the kids follow every
+    path above j, under lex (they extend frontier[j]) they precede them
+    all, and weighted shortlex inserts each kid at its place by bisection.
+    With j = -1, enumerate_trees adjoins the children of its new critical
+    path v to the critical paths above v.
     """
-    key = order.key
-    for a in fq.out_arrows[fq.targets[v[-1]] if v else INF_VERTEX]:
-        c = v + (a,)
-        bisect.insort(crit, (key(c), c))
-    return crit
+    if order.kind == SHORTLEX:
+        frontier.extend(kids)
+    elif order.kind == LEX:
+        frontier[j + 1 : j + 1] = kids
+    else:
+        for c in kids:
+            bisect.insort(frontier, c, lo=j + 1, key=order.key)
+    return frontier
 
 
 def enumerate_trees(
@@ -219,10 +206,10 @@ def enumerate_trees(
     Depth-first extension: grow by one critical element at a time, always
     larger than the last one added, pruning when a vertex count would
     exceed its budget.  Iterating candidates in ascending order yields the
-    trees already sorted.  The critical lists hold (key, path) pairs (see
-    adjoin), so each key is computed once per path.  The search keeps its
-    own stack, one frame per adjoined path, so the depth is not bounded by
-    the interpreter's recursion limit.
+    trees already sorted.  Each critical list is the part of its parent's
+    above the adjoined path v, with the children of v placed by adjoin.
+    The search keeps its own stack, one frame per adjoined path, so the
+    depth is not bounded by the interpreter's recursion limit.
     """
     d = check_dim(fq.base, d)
     if any(x < 0 for x in d):
@@ -230,15 +217,15 @@ def enumerate_trees(
     total = sum(d)
     if total == 0:
         return [Subtree((ROOT,))]
-    targets = fq.targets
+    out_arrows, targets = fq.out_arrows, fq.targets
     results: list[Subtree] = []
     chain, counts = [ROOT], [0] * fq.vertex_count
     # frame: the critical list of chain and the iterator over its candidates
-    root_crit = adjoin(fq, order, [], ROOT)
+    root_crit = adjoin(order, [], -1, [(a,) for a in out_arrows[INF_VERTEX]])
     stack = [(root_crit, enumerate(root_crit))]
     while stack:
         crit, candidates = stack[-1]
-        for idx, (_, v) in candidates:
+        for idx, v in candidates:
             i = targets[v[-1]]
             if counts[i] < d[i]:
                 break
@@ -255,7 +242,7 @@ def enumerate_trees(
         chain.append(v)
         # later critical elements of the old set stay critical; the
         # children of v are new and all exceed v in any admissible order
-        new_crit = adjoin(fq, order, crit[idx + 1 :], v)
+        new_crit = adjoin(order, crit[idx + 1 :], -1, [v + (a,) for a in out_arrows[i]])
         stack.append((new_crit, enumerate(new_crit)))
     return results
 

@@ -335,10 +335,11 @@ def cmd_charts(args) -> int:
     chart_tree = cells.parse_tree(fq, order, args.chart)
     chart = charts.make_chart(fq, chart_tree, order)
     minors = charts.membership_minors(fq, target, chart_tree, order)
+    # before any row, so a refused multiplicity prints only its error line
+    power = charts.multiplicity_power(fq, target, chart_tree, order) if args.multiplicity else None
     rows = [{"minor": chart.format_poly(m)} for m in minors]
     _emit(args, rows, lambda r: r["minor"])
     if args.multiplicity:
-        power = charts.multiplicity_power(fq, target, chart_tree, order)
         text = "indeterminate" if power is None else str(power)
         if args.json:
             print(json.dumps({"multiplicity": power}, sort_keys=True))

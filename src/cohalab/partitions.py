@@ -3,10 +3,10 @@
 A multipartition assigns to each vertex a weakly decreasing tuple of
 naturals of length d_i (trailing zeros kept internally, suppressed in
 display).  Production labels are read off the shortlex subtrees through
-the bijection (cell_labels); partition_to_tree inverts it in one walk of
-the path tree (cells._walk: breadth first for shortlex, depth-first
-preorder for lex, a heap for weighted shortlex), counting the critical
-paths it passes at each vertex.  enumerate_partitions
+the bijection (cell_labels).  Both directions of the bijection are one
+walk of the path tree (cells._walk), counting the critical paths it
+passes at each vertex: tree_to_partition asks whether each child is a
+member, partition_to_tree whether it joins.  enumerate_partitions
 brute-forces the labels from the box-counting condition alone, tested on
 raw tuples against a per-box table that satisfies_phi reads as well, and
 never touches trees: it is the independent phi oracle of checks.py, the
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
-from .cells import CellError, Subtree, _children, _walk, enumerate_trees
+from .cells import CellError, Subtree, _walk, enumerate_trees
 from .paths import Path, PathOrder
 from .quiver import DimVector, FramedQuiver, check_dim, parse_number
 
@@ -152,20 +152,22 @@ def tree_to_partition(
     """Forward direction of the bijection.
 
     lambda^{(i)}_{d_i - k} counts the critical paths at vertex i below the
-    (k+1)-st subtree element there.  One sweep over the children of the
-    members (cells._children) counts the critical paths passed at each
-    vertex and records that count at each member; reversed, the counts
-    recorded at vertex i are lambda^{(i)}.
+    (k+1)-st subtree element there.  One walk over the children of the
+    members (cells._walk), asking whether each is a member, counts the
+    critical paths passed at each vertex and records that count at each
+    member; reversed, the counts recorded at vertex i are lambda^{(i)}.
     """
-    members, targets = s.path_set, fq.targets
-    passed = [0] * fq.vertex_count
+    members, passed = s.path_set, [0] * fq.vertex_count
     below: list[list[int]] = [[] for _ in range(fq.vertex_count)]
-    for u in _children(fq, s, order):
-        i = targets[u[-1]]
-        if u in members:
+
+    def take(c: Path, i: int) -> bool:
+        if c in members:
             below[i].append(passed[i])
-        else:
-            passed[i] += 1
+            return True
+        passed[i] += 1
+        return False
+
+    _walk(fq, order, take)
     return MultiPartition(tuple(tuple(b[::-1]) for b in below))
 
 

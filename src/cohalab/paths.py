@@ -125,19 +125,9 @@ class PathOrder:
         return -1 if ku < kv else (0 if ku == kv else 1)
 
     def sort(self, paths) -> list[Path]:
-        """The paths ascending in the order.
-
-        lex sorts the paths themselves (the lex key is the path).
-        shortlex takes two stable passes, lex and then by length, which
-        give exactly the order of (len(u), u) without building a key per
-        path.  weighted-shortlex sorts by its key.
-        """
-        if self.kind == WSHORTLEX:
-            return sorted(paths, key=self.key)
-        out = sorted(paths)
-        if self.kind == SHORTLEX:
-            out.sort(key=len)
-        return out
+        """The paths ascending in the order, for callers holding an
+        unordered pool; the cells walks meet paths in order instead."""
+        return sorted(paths, key=self.key)
 
     @property
     def is_monomial(self) -> bool:

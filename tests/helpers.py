@@ -12,7 +12,6 @@ from cohalab.cells import (
     CellError,
     NumericRep,
     Subtree,
-    adjoin,
     critical_set,
     make_subtree,
     udim,
@@ -178,26 +177,25 @@ def classify_by_restart(fq: FramedQuiver, m: NumericRep, order: PathOrder) -> Su
     """The unique cell label of a stable representation, by greedy growth
     that restarts each step at the least critical path.
 
-    Each step walks the ascending critical list of (key, path) pairs (kept
-    by adjoin) and adjoins the first path whose vector falls outside the
-    span of the vectors collected so far at its vertex, while that
-    vertex's span is short of d_i.
+    Each step walks the ascending critical list (re-sorted after each
+    step) and adjoins the first path whose vector falls outside the span
+    of the vectors collected so far at its vertex, while that vertex's
+    span is short of d_i.
     """
     if not order.is_monomial:
         raise CellError("classify requires a monomial order (shortlex kinds)")
     spans = [Span(di) for di in m.d]
     chain = [ROOT]
-    crit = adjoin(fq, order, [], ROOT)
+    crit = order.sort(children(fq, ROOT))
     for _ in range(sum(m.d)):
-        for idx, (_, v) in enumerate(crit):
+        for idx, v in enumerate(crit):
             i = path_target(fq, v)
             if spans[i].rank < m.d[i] and spans[i].add(m.path_vector(v)):
                 break
         else:
             raise CellError("not stable: framing does not generate the representation")
         chain.append(v)
-        del crit[idx]
-        adjoin(fq, order, crit, v)
+        crit = order.sort(crit[:idx] + crit[idx + 1 :] + children(fq, v))
     return Subtree(tuple(chain))
 
 

@@ -161,21 +161,37 @@ def test_enumerate_trees_matches_recursive_oracle(fq, dims):
 
 @pytest.mark.parametrize("fq, dims", SWEEP_FIXTURES)
 def test_adjoin_matches_resort(fq, dims):
-    # every critical list of every tree, with each of its paths adjoined;
-    # adjoin keeps (key, path) pairs, so both halves of each pair are checked
+    # enumerate_trees adjoins the children of a critical path v above the
+    # last member to the critical paths above v; the walks start from the root
     for order in oracle_orders(fq):
-
-        def check(rest, v):
-            got = adjoin(fq, order, [(order.key(u), u) for u in rest], v)
-            assert [u for _, u in got] == order.sort(rest + children(fq, v))
-            assert all(key == order.key(u) for key, u in got)
-
-        check([], ROOT)
+        assert adjoin(order, [], -1, children(fq, ROOT)) == order.sort(children(fq, ROOT))
         for d in dims:
             for s in enumerate_trees(fq, d, order):
                 crit = list(critical_set(fq, s, order).paths)
                 for idx, v in enumerate(crit):
-                    check(crit[:idx] + crit[idx + 1 :], v)
+                    if order.compare(v, s.paths[-1]) > 0:
+                        above, kids = crit[idx + 1 :], children(fq, v)
+                        assert adjoin(order, list(above), -1, kids) == order.sort(above + kids)
+
+
+@pytest.mark.parametrize("fq, dims", SWEEP_FIXTURES)
+def test_make_subtree_orders_a_shuffled_pool(fq, dims):
+    rng = Random(20)
+    for order in (PathOrder.shortlex(), PathOrder.lex(), *weighted_orders(fq)):
+        for d in dims:
+            for s in enumerate_trees(fq, d, order):
+                pool = list(s.paths[rng.randrange(2) :])  # with or without the root
+                rng.shuffle(pool)
+                assert make_subtree(fq, order, pool) == s
+                # drop a member with children: each child names the hole
+                for u in s.nonroot:
+                    orphans = {format_path(fq, w) for w in s.paths if w[:-1] == u}
+                    if orphans:
+                        with pytest.raises(CellError) as err:
+                            make_subtree(fq, order, [w for w in pool if w != u])
+                        assert str(err.value) in {
+                            f"not lower-closed: {w} without its parent" for w in orphans
+                        }
 
 
 SHORTLEX_TABLE = [

@@ -275,6 +275,18 @@ def test_charts_multiplicity_lex(two_loop_file, capsys):
     assert_charts_output(capsys, two_loop_file, "f,af,bf", "lex", minors, 4)
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+def test_charts_refused_multiplicity_prints_only_the_error(as_json, two_loop_file, capsys):
+    # the chart has a minor, but the cells differ in dimension
+    args = ["charts", "-q", two_loop_file, "--target", "f,af,aaf", "--chart", "f,bf,bbf"]
+    assert run(args + ["--json"] * as_json) == 0
+    assert capsys.readouterr().out != ""
+    assert run(args + ["--multiplicity"] + ["--json"] * as_json) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: multiplicity needs cells of equal dimension\n"
+
+
 def test_verify_basis_cli(two_loop_file, capsys):
     assert run(["verify-basis", "-q", two_loop_file, "--dim", "2"]) == 0
     out = lines_of(capsys)

@@ -6,9 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cohalab import (
-    FramedQuiver,
     PathOrder,
-    Quiver,
     children,
     format_path,
     monomial_axiom_check,
@@ -16,7 +14,7 @@ from cohalab import (
 )
 from cohalab.paths import ROOT, parent, paths_up_to_length
 from conftest import framed_a2, framed_loops
-from helpers import is_prefix, oracle_orders
+from helpers import is_prefix
 
 
 def p(fq, text):
@@ -150,26 +148,6 @@ def test_compare_is_sign_of_key_difference(u, v):
         assert c == 0 and u == v
     else:
         assert c == 1
-
-
-_SORT_POOLS = {
-    name: (fq, paths_up_to_length(fq, 4))
-    for name, fq in [
-        ("two-loop", framed_loops(2, 1)),
-        ("a2", framed_a2(2)),
-        ("two-cycle", FramedQuiver(Quiver.make(2, [("a", 0, 1), ("b", 1, 0)]), (1, 1))),
-    ]
-}
-
-
-@pytest.mark.parametrize("name", sorted(_SORT_POOLS))
-@given(data=st.data())
-def test_sort_matches_sorting_by_key(name, data):
-    # shortlex sorts in two stable passes instead of by its key
-    fq, pool = _SORT_POOLS[name]
-    paths = data.draw(st.lists(st.sampled_from(pool), max_size=40))
-    for order in oracle_orders(fq):
-        assert order.sort(paths) == sorted(paths, key=order.key)
 
 
 def test_format_and_parse_roundtrip(two_loop):

@@ -40,7 +40,11 @@ def test_two_loop_tables_refuses_a_quiver_it_cannot_build(args):
 
 @pytest.mark.parametrize(
     "script, args",
-    [("order_dependence.py", ["--dim", "-1"]), ("grassmannian_scan.py", ["--max-framing", "-1"])],
+    [
+        ("order_dependence.py", ["--dim", "-1"]),
+        ("grassmannian_scan.py", ["--max-framing", "-1"]),
+        ("basis_frontier.py", ["--max-degree", "-1"]),
+    ],
 )
 def test_script_refuses_a_negative_size(script, args):
     assert_refused(script, args)
