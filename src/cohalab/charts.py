@@ -7,11 +7,13 @@ specializing the coordinates toward a smaller cell reads off the
 multiplicity with which the locus meets its closure.
 
 Each chart is built once per (quiver, tree, order): make_chart is
-memoised, and the chart memoises its path vectors and the minors of each
-critical family it is asked about.  The minors of a target depend on the
-chart and on the target's critical families only, so membership_minors,
-multiplicity_power and the charts command share every determinant.  The
-memos hold tuples, and the public functions hand out fresh lists.
+memoised, and the chart memoises the minors of each critical family it is
+asked about.  The minors of a target depend on the chart and on the
+target's critical families only, so membership_minors,
+multiplicity_power and the charts command share every determinant.  Path
+vectors are not kept: each minors call builds the columns it needs
+through one memo that lives for that call.  The minors memo holds
+tuples, and the public functions hand out fresh lists.
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ class Chart:
 
     coords lists the (basis path, critical path) pairs at a common vertex,
     by vertex, then critical path; var_of indexes them, read-only.  The
-    memos _vectors (per path) and _minors (per critical family) hold
-    tuples, so what they hand out cannot be changed under the next caller.
+    memo _minors (per critical family) holds tuples, so what it hands out
+    cannot be changed under the next caller.  Path vectors are built per
+    call and dropped with it.
     """
 
     fq: FramedQuiver
@@ -49,7 +52,6 @@ class Chart:
     coords: tuple[tuple[Path, Path], ...]
     crit: CriticalSet = field(compare=False, repr=False)
     var_of: MappingProxyType = field(compare=False, repr=False)
-    _vectors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _minors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -70,13 +72,18 @@ class Chart:
 
     def vector(self, v: Path) -> tuple[Poly, ...]:
         """Coordinates of the path vector of v in the chart basis at its
-        vertex, memoised: units on the basis, c[u,v] on critical paths."""
+        vertex: units on the basis, c[u,v] on critical paths.  Built
+        afresh on each call; nothing is kept."""
+        return self._vector(v, {})
+
+    def _vector(self, v: Path, memo: dict) -> tuple[Poly, ...]:
+        """vector(v), through memo: the vectors of this build so far."""
+        out = memo.get(v)
+        if out is not None:
+            return out
         i = path_target(self.fq, v)
         if i == INF_VERTEX:
             raise CellError("path ends at the framing vertex")
-        out = self._vectors.get(v)
-        if out is not None:
-            return out
         basis = self.crit.slices[i]
         n = self.nvars
         if v in basis:
@@ -85,23 +92,24 @@ class Chart:
             out = [Poly.variable(n, self.var_of[(u, v)]) for u in basis]
         else:
             u, a = parent(v), v[-1]
-            inner = self.vector(u)
+            inner = self._vector(u, memo)
             out = [Poly.zero(n) for _ in basis]
             for k, u_k in enumerate(self.crit.slices[path_target(self.fq, u)]):
                 if inner[k].is_zero():
                     continue
-                column = self.vector(u_k + (a,))
+                column = self._vector(u_k + (a,), memo)
                 for j in range(len(out)):
                     if not column[j].is_zero():
                         out[j] = out[j] + inner[k] * column[j]
-        self._vectors[v] = out = tuple(out)
+        memo[v] = out = tuple(out)
         return out
 
     def minors(self, family: tuple[Path, ...]) -> tuple[Poly, ...]:
         """The maximal minors of the columns vector(u), u in family, by row
         set; none when the family outnumbers its vertex's slice.  Memoised
         per family: a critical family slices[i][:k_v] + (v,) of any target
-        with this chart's counts."""
+        with this chart's counts.  The columns share one vector memo, which
+        goes when the call returns."""
         out = self._minors.get(family)
         if out is not None:
             return out
@@ -109,7 +117,8 @@ class Chart:
         dim = len(self.crit.slices[path_target(self.fq, family[-1])])
         out = ()
         if size <= dim:  # otherwise the rank bound is the ambient dimension
-            columns = [self.vector(u) for u in family]
+            memo = {}
+            columns = [self._vector(u, memo) for u in family]
             out = tuple(
                 det_bareiss([[column[r] for column in columns] for r in rows])
                 for rows in combinations(range(dim), size)

@@ -13,6 +13,8 @@ c_{u,v}); neither interpretation leaks in here.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import add, neg, sub
 from typing import Callable, Iterable, Mapping
 
 Exponent = tuple[int, ...]
@@ -136,7 +138,7 @@ class Poly:
         out: dict[Exponent, Coeff] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
+                exp = tuple(map(add, e1, e2))
                 s = out.get(exp, ZERO) + c1 * c2
                 if s:
                     out[exp] = s
@@ -192,8 +194,11 @@ class Poly:
 
         Uses the leading-term algorithm under the lex order on exponent
         tuples; when the division is exact this terminates with quotient
-        equal to self/divisor.  Coefficient quotients go through divide,
-        so they stay int whenever they are integers.
+        equal to self/divisor.  The remainder's leading term comes off a
+        heap of negated exponents: an exponent is pushed when it enters
+        the remainder, and an entry whose term has since cancelled is
+        skipped when it surfaces.  Coefficient quotients go through
+        divide, so they stay int whenever they are integers.
         """
         if divisor.is_zero():
             raise ExactDivisionError("division by zero polynomial")
@@ -204,22 +209,34 @@ class Poly:
             return Poly(self.nvars, {exp: divide(v, c) for exp, v in self.terms.items()})
         lead_g = max(divisor.terms)
         cg = divisor.terms[lead_g]
+        tail = [(exp, c) for exp, c in divisor.terms.items() if exp != lead_g]
         rem = dict(self.terms)
+        heap = [tuple(map(neg, exp)) for exp in rem]
+        heapify(heap)
         quot: dict[Exponent, Coeff] = {}
-        while rem:
-            lead_r = max(rem)
-            texp = tuple(a - b for a, b in zip(lead_r, lead_g))
-            if any(e < 0 for e in texp):
+        while heap:
+            lead_r = tuple(map(neg, heappop(heap)))
+            lead_c = rem.pop(lead_r, None)
+            if lead_c is None:
+                continue  # cancelled since it was pushed
+            texp = tuple(map(sub, lead_r, lead_g))
+            if min(texp) < 0:
                 raise ExactDivisionError("non-exact polynomial division")
-            tc = divide(rem[lead_r], cg)
+            tc = divide(lead_c, cg)
             quot[texp] = tc
-            for exp, c in divisor.terms.items():
-                target = tuple(a + b for a, b in zip(exp, texp))
-                s = rem.get(target, ZERO) - tc * c
-                if s:
-                    rem[target] = s
+            # the lead term cancels by the choice of tc; the rest land below it
+            for exp, c in tail:
+                target = tuple(map(add, exp, texp))
+                old = rem.get(target)
+                if old is None:
+                    rem[target] = -tc * c
+                    heappush(heap, tuple(map(neg, target)))
                 else:
-                    rem.pop(target, None)
+                    s = old - tc * c
+                    if s:
+                        rem[target] = s
+                    else:
+                        del rem[target]
         return Poly(self.nvars, quot)
 
     # -- display -------------------------------------------------------------
@@ -260,8 +277,15 @@ class ExactDivisionError(ArithmeticError):
 def det_bareiss(rows: list[list[Poly]]) -> Poly:
     """Determinant of a square polynomial matrix, fraction-free.
 
-    Bareiss elimination keeps every intermediate entry polynomial; the
-    divisions it performs are exact by construction, which doubles as an
+    First a Laplace step: while some column has at most one non-zero
+    entry, expand along it.  A zero column makes the determinant 0; a
+    single entry at (i, j) becomes a factor (-1)^(i+j) m[i][j] of the
+    result, and row i and column j go.  Chart minors have many unit and
+    single-coordinate columns, so most shrink to a small core here.
+
+    Bareiss elimination of that core keeps every intermediate entry
+    polynomial; the divisions it performs are exact by construction and
+    still checked (exact_div raises on a remainder), which doubles as an
     internal consistency check on the polynomial arithmetic.  Every step
     after the first divides by the previous pivot; the first would divide
     by the constant 1, so it does not divide.
@@ -274,6 +298,23 @@ def det_bareiss(rows: list[list[Poly]]) -> Poly:
         raise ValueError("matrix is not square")
     m = [list(r) for r in rows]
     sign = 1
+    factors = []  # the entries expanded along, in order
+    while m:
+        for j in range(len(m)):
+            live = [i for i, row in enumerate(m) if not row[j].is_zero()]
+            if len(live) <= 1:
+                break
+        else:
+            break  # every column has two entries or more
+        if not live:
+            return Poly.zero(nvars)
+        i = live[0]
+        factors.append(m.pop(i)[j])
+        for row in m:
+            del row[j]
+        if (i + j) % 2:
+            sign = -sign
+    n = len(m)
     prev = None  # the previous pivot; the first step has none
     for k in range(n - 1):
         if m[k][k].is_zero():
@@ -290,5 +331,7 @@ def det_bareiss(rows: list[list[Poly]]) -> Poly:
                 m[i][j] = num if prev is None else num.exact_div(prev)
             m[i][k] = Poly.zero(nvars)
         prev = m[k][k]
-    result = m[n - 1][n - 1]
+    result = m[n - 1][n - 1] if m else factors.pop()
+    for f in factors:
+        result = result * f
     return result if sign == 1 else -result

@@ -5,7 +5,8 @@ basis theorem) and 10 (cell partition property) are entries of the shared
 check registry in cohalab.checks, which `coha-lab check` also runs; one
 parametrised test covers the registry.  Each test prints a single pass
 line (visible with pytest -s or in captured output) and enforces the
-stated wall-clock budget.
+stated wall-clock budget.  One more test holds a pair from the chart
+frontier, two-loop d=5, to a budget.
 """
 
 import time
@@ -145,6 +146,20 @@ def test_criterion_7_multiplicities():
         for order in (SHORTLEX, LEX):
             for s in enumerate_trees(fq, (3,), order):
                 assert multiplicity_power(fq, s, s, order) == 1
+
+
+def test_chart_frontier_pair_d5():
+    # 22 minors of up to 5x5, the largest with 9,894 terms, from a chart
+    # built afresh (no determinant read from an earlier test's memo)
+    fq = framed_loops(2, 1)
+    target = parse_tree(fq, SHORTLEX, "f,af,baf,abaf,babaf")
+    chart_tree = parse_tree(fq, SHORTLEX, "f,bf,abf,aabf,baabf")
+    make_chart.cache_clear()
+    with Budget("chart frontier: two-loop d=5 pair", 10.0):
+        minors = membership_minors(fq, target, chart_tree, SHORTLEX)
+        assert len(minors) == 22
+        assert max(len(m.terms) for m in minors) == 9894
+        assert multiplicity_power(fq, target, chart_tree, SHORTLEX) == 2
 
 
 def test_criterion_9_shuffle_properties():

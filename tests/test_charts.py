@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -306,19 +307,112 @@ D3_MULTIPLICITIES = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(D3_MULTIPLICITIES))
-def test_multiplicity_table_two_loop_d3(two_loop, kind):
+# the same at d=4, where the minors are 2x2 to 4x4: the Laplace step of
+# det_bareiss finds a zero column in some and leaves cores of 0x0, 2x2 and
+# 3x3 in the others
+D4_MULTIPLICITIES = {
+    "shortlex": {
+        ("f,af,bf,aaf", "f,af,bf,aaf"): 1,
+        ("f,af,bf,baf", "f,af,bf,baf"): 1,
+        ("f,af,bf,abf", "f,af,bf,abf"): 1,
+        ("f,af,bf,abf", "f,af,aaf,baf"): 1,
+        ("f,af,bf,bbf", "f,af,bf,bbf"): 1,
+        ("f,af,bf,bbf", "f,af,aaf,aaaf"): 2,
+        ("f,af,bf,bbf", "f,bf,abf,bbf"): 4,
+        ("f,af,aaf,baf", "f,af,bf,abf"): None,
+        ("f,af,aaf,baf", "f,af,aaf,baf"): 1,
+        ("f,af,aaf,aaaf", "f,af,bf,bbf"): None,
+        ("f,af,aaf,aaaf", "f,af,aaf,aaaf"): 1,
+        ("f,af,aaf,aaaf", "f,bf,abf,bbf"): 3,
+        ("f,af,aaf,baaf", "f,af,aaf,baaf"): 1,
+        ("f,af,aaf,baaf", "f,af,baf,abaf"): 1,
+        ("f,af,aaf,baaf", "f,bf,abf,aabf"): 3,
+        ("f,af,baf,abaf", "f,af,aaf,baaf"): None,
+        ("f,af,baf,abaf", "f,af,baf,abaf"): 1,
+        ("f,af,baf,abaf", "f,bf,abf,aabf"): 2,
+        ("f,af,baf,bbaf", "f,af,baf,bbaf"): 1,
+        ("f,af,baf,bbaf", "f,bf,abf,babf"): 2,
+        ("f,af,baf,bbaf", "f,bf,bbf,abbf"): 3,
+        ("f,bf,abf,bbf", "f,af,bf,bbf"): None,
+        ("f,bf,abf,bbf", "f,af,aaf,aaaf"): None,
+        ("f,bf,abf,bbf", "f,bf,abf,bbf"): 1,
+        ("f,bf,abf,aabf", "f,af,aaf,baaf"): None,
+        ("f,bf,abf,aabf", "f,af,baf,abaf"): None,
+        ("f,bf,abf,aabf", "f,bf,abf,aabf"): 1,
+        ("f,bf,abf,babf", "f,af,baf,bbaf"): None,
+        ("f,bf,abf,babf", "f,bf,abf,babf"): 1,
+        ("f,bf,abf,babf", "f,bf,bbf,abbf"): 1,
+        ("f,bf,bbf,abbf", "f,af,baf,bbaf"): None,
+        ("f,bf,bbf,abbf", "f,bf,abf,babf"): None,
+        ("f,bf,bbf,abbf", "f,bf,bbf,abbf"): 1,
+        ("f,bf,bbf,bbbf", "f,bf,bbf,bbbf"): 1,
+    },
+    "lex": {
+        ("f,af,aaf,aaaf", "f,af,aaf,aaaf"): 1,
+        ("f,af,aaf,baaf", "f,af,aaf,baaf"): 1,
+        ("f,af,aaf,baf", "f,af,aaf,baf"): 1,
+        ("f,af,aaf,baf", "f,af,baf,abaf"): None,
+        ("f,af,aaf,bf", "f,af,aaf,bf"): 1,
+        ("f,af,aaf,bf", "f,af,baf,bbaf"): None,
+        ("f,af,aaf,bf", "f,bf,abf,aabf"): 9,
+        ("f,af,baf,abaf", "f,af,aaf,baf"): None,
+        ("f,af,baf,abaf", "f,af,baf,abaf"): 1,
+        ("f,af,baf,bbaf", "f,af,aaf,bf"): None,
+        ("f,af,baf,bbaf", "f,af,baf,bbaf"): 1,
+        ("f,af,baf,bbaf", "f,bf,abf,aabf"): None,
+        ("f,af,baf,bf", "f,af,baf,bf"): 1,
+        ("f,af,baf,bf", "f,af,bf,abf"): 1,
+        ("f,af,baf,bf", "f,bf,abf,babf"): None,
+        ("f,af,bf,abf", "f,af,baf,bf"): None,
+        ("f,af,bf,abf", "f,af,bf,abf"): 1,
+        ("f,af,bf,abf", "f,bf,abf,babf"): 5,
+        ("f,af,bf,bbf", "f,af,bf,bbf"): 1,
+        ("f,af,bf,bbf", "f,bf,abf,bbf"): 4,
+        ("f,af,bf,bbf", "f,bf,bbf,abbf"): 2,
+        ("f,bf,abf,aabf", "f,af,aaf,bf"): None,
+        ("f,bf,abf,aabf", "f,af,baf,bbaf"): None,
+        ("f,bf,abf,aabf", "f,bf,abf,aabf"): 1,
+        ("f,bf,abf,babf", "f,af,baf,bf"): None,
+        ("f,bf,abf,babf", "f,af,bf,abf"): None,
+        ("f,bf,abf,babf", "f,bf,abf,babf"): 1,
+        ("f,bf,abf,bbf", "f,af,bf,bbf"): None,
+        ("f,bf,abf,bbf", "f,bf,abf,bbf"): 1,
+        ("f,bf,abf,bbf", "f,bf,bbf,abbf"): 1,
+        ("f,bf,bbf,abbf", "f,af,bf,bbf"): None,
+        ("f,bf,bbf,abbf", "f,bf,abf,bbf"): None,
+        ("f,bf,bbf,abbf", "f,bf,bbf,abbf"): 1,
+        ("f,bf,bbf,bbbf", "f,bf,bbf,bbbf"): 1,
+    },
+}
+
+
+def multiplicity_table(fq, dim: int, kind: str) -> dict:
+    """multiplicity_power of every equal-dimension pair, keyed by labels."""
     order = PathOrder.shortlex() if kind == "shortlex" else PathOrder.lex()
-    trees = enumerate_trees(two_loop, (3,), order)
-    got = {
-        (format_tree(two_loop, a), format_tree(two_loop, b)): multiplicity_power(
-            two_loop, a, b, order
-        )
+    trees = enumerate_trees(fq, (dim,), order)
+    return {
+        (format_tree(fq, a), format_tree(fq, b)): multiplicity_power(fq, a, b, order)
         for a in trees
         for b in trees
-        if cell_dim(two_loop, a, order) == cell_dim(two_loop, b, order)
+        if cell_dim(fq, a, order) == cell_dim(fq, b, order)
     }
-    assert got == D3_MULTIPLICITIES[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(D3_MULTIPLICITIES))
+def test_multiplicity_table_two_loop_d3(two_loop, kind):
+    assert multiplicity_table(two_loop, 3, kind) == D3_MULTIPLICITIES[kind]
+
+
+@pytest.mark.parametrize(
+    "kind, counts",
+    [
+        ("shortlex", {1: 17, None: 10, 2: 3, 3: 3, 4: 1}),
+        ("lex", {1: 16, None: 14, 2: 1, 4: 1, 5: 1, 9: 1}),
+    ],
+)
+def test_multiplicity_table_two_loop_d4(two_loop, kind, counts):
+    assert Counter(D4_MULTIPLICITIES[kind].values()) == counts
+    assert multiplicity_table(two_loop, 4, kind) == D4_MULTIPLICITIES[kind]
 
 
 def test_each_minor_is_one_determinant(two_loop, shortlex, monkeypatch):

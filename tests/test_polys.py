@@ -147,6 +147,136 @@ def test_det_bareiss_divides_from_second_step(monkeypatch):
     assert det == det_laplace(x) and len(det.terms) == 24
 
 
+# -- the Laplace step: columns with at most one non-zero entry ---------------------
+
+
+def dense_int_matrix(rng: Random, n: int) -> list[list[Poly]]:
+    """n x n of random two-variable polys, every entry non-zero."""
+    m = [[random_int_poly(rng) for _ in range(n)] for _ in range(n)]
+    return [[p if not p.is_zero() else Poly.const(2, 1) for p in row] for row in m]
+
+
+def count_exact_div(monkeypatch) -> list:
+    """Record the divisor of every Poly.exact_div call from here on."""
+    divisors = []
+    exact_div = Poly.exact_div
+
+    def counting(self, divisor):
+        divisors.append(divisor)
+        return exact_div(self, divisor)
+
+    monkeypatch.setattr(Poly, "exact_div", counting)
+    return divisors
+
+
+def test_det_bareiss_zero_column():
+    rng = Random(7)
+    for n in range(2, 6):
+        for j in range(n):
+            m = dense_int_matrix(rng, n)
+            for row in m:
+                row[j] = Poly.zero(2)
+            assert det_bareiss(m).is_zero() and det_laplace(m).is_zero()
+
+
+def test_det_bareiss_singleton_column_sign():
+    # one entry in column j, at row i: the cofactor sign (-1)^(i+j) must
+    # come out right at every position, for constant and non-constant entries
+    rng = Random(11)
+    x = Poly.variable(2, 0)
+    for n in (2, 3, 4):
+        for i in range(n):
+            for j in range(n):
+                for entry in (Poly.const(2, -3), x * x + Poly.const(2, 2)):
+                    m = dense_int_matrix(rng, n)
+                    for r, row in enumerate(m):
+                        row[j] = entry if r == i else Poly.zero(2)
+                    det = det_bareiss(m)
+                    assert det == det_laplace(m) and not det.is_zero()
+
+
+def test_det_bareiss_singleton_column_after_first_expansion(monkeypatch):
+    # column 0 holds one entry (row 2); column 1 holds two (rows 0 and 2),
+    # so it is a singleton only once row 2 has gone.  Two expansions leave
+    # a 2x2, which needs no division; stopping after one would leave a
+    # 3x3, whose second Bareiss step divides once
+    rng = Random(13)
+    for _ in range(10):
+        m = dense_int_matrix(rng, 4)
+        for r, row in enumerate(m):
+            if r != 2:
+                row[0] = Poly.zero(2)
+            if r not in (0, 2):
+                row[1] = Poly.zero(2)
+        divisors = count_exact_div(monkeypatch)
+        assert det_bareiss(m) == det_laplace(m)
+        assert divisors == []
+        monkeypatch.undo()
+
+
+def test_det_bareiss_signed_permutation():
+    # one entry per row and column: the Laplace step alone, down to 0x0
+    n = 5
+    perm = [3, 0, 4, 1, 2]  # row i holds its entry in column perm[i]
+    xs = [Poly.variable(n, k) for k in range(n)]
+    m = [[Poly.zero(n)] * n for _ in range(n)]
+    for i, j in enumerate(perm):
+        m[i][j] = xs[i] if i % 2 else -xs[i]
+    inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+    product = Poly.const(n, (-1) ** inversions)
+    for i in range(n):
+        product = product * m[i][perm[i]]
+    assert det_bareiss(m) == det_laplace(m) == product
+
+
+def test_det_bareiss_unit_column_divides_once(monkeypatch):
+    # a unit column leaves a dense 3x3 of distinct variables: Bareiss on it
+    # divides only at its second step, one entry by the first pivot
+    x = [[Poly.variable(9, 3 * i + j) for j in range(3)] for i in range(3)]
+    one, zero = Poly.const(9, 1), Poly.zero(9)
+    m = [[zero] + x[0], [zero] + x[1], [one] + x[0], [zero] + x[2]]
+    divisors = count_exact_div(monkeypatch)
+    det = det_bareiss(m)
+    assert len(divisors) == 1
+    assert det == det_laplace(m) and len(det.terms) == 6
+
+
+# -- heap-ordered exact division ----------------------------------------------------
+
+
+def test_exact_div_skips_cancelled_and_recreated_exponents():
+    # (x^5 + 2x^4 + x^3 - x) / (x^2 + x + 1): the first quotient term
+    # cancels x^3, the second brings it back (a second heap entry for it),
+    # and the third cancels x^2 and x; the stale entries surface last
+    x, one = Poly.variable(1, 0), Poly.const(1, 1)
+    g = x * x + x + one
+    f = x**3 + x * x - x
+    assert (f * g).terms == {(5,): 1, (4,): 2, (3,): 1, (1,): -1}
+    assert (f * g).exact_div(g) == f
+
+
+def random_sparse_poly(rng: Random, nvars: int, nterms: int) -> Poly:
+    """nterms distinct monomials of degree at most 3 per variable, int
+    coefficients in [-5, 5] without 0."""
+    terms = {}
+    while len(terms) < nterms:
+        exp = tuple(rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(nvars))
+        terms[exp] = rng.choice([c for c in range(-5, 6) if c])
+    return Poly(nvars, terms)
+
+
+def test_exact_div_inverts_mul_on_large_sparse_polys():
+    rng = Random(29)
+    for _ in range(4):
+        f = random_sparse_poly(rng, 20, rng.randint(30, 80))
+        g = random_sparse_poly(rng, 20, rng.randint(30, 80))
+        product = f * g
+        assert product.exact_div(g) == f
+        assert product.exact_div(f) == g
+        with pytest.raises(ExactDivisionError):
+            (product + Poly.variable(20, 0) ** 7).exact_div(g)
+
+
 def test_minors_order():
     c = lambda v: Poly.const(0, v)
     rows = [[c(1), c(2)], [c(3), c(4)], [c(5), c(6)]]

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from test_charts import D3_MULTIPLICITIES
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -28,6 +30,40 @@ def test_script_runs(script):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.rstrip().endswith(ending)
+
+
+def test_two_loop_tables_prints_the_d3_multiplicity_tables():
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "two_loop_tables.py"), "--dim", "3", "--multiplicities"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    tables, timed = {}, []
+    for line in done.stdout.splitlines():
+        words = line.split()
+        if line.startswith("-- ") and words[2] == "multiplicities:":
+            table = tables.setdefault(words[1], {})
+        elif line.startswith("-- "):
+            assert words[2:4] == ["multiplicities", "took"] and words[-1] == "s"
+            timed.append((words[1], float(words[4])))
+        elif len(words) == 4 and words[1] == "in":
+            table[(words[0], words[2])] = None if words[3] == "None" else int(words[3])
+    assert tables == D3_MULTIPLICITIES
+    assert [kind for kind, _ in timed] == ["shortlex", "lex"]
+
+
+def test_two_loop_tables_one_order():
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "two_loop_tables.py"), "--dim", "2", "--order", "lex"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    headers = [line for line in done.stdout.splitlines() if line.startswith("==")]
+    assert headers == ["== lex order, d=2"]
 
 
 @pytest.mark.parametrize(
