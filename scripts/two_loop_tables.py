@@ -6,8 +6,8 @@ total order with cell dimensions and partition labels, then the motivic
 class.  Defaults reproduce the d=3 tables.  With --multiplicities, each
 order's table is followed by the closure multiplicity of every
 equal-dimension pair (target in chart), as multiplicity_power returns it,
-and the seconds that the membership minors and multiplicities of all the
-pairs took together; this is the chart frontier's timing harness.  The
+and the seconds that the multiplicities of all the pairs (their minors
+included) took together; this is the chart frontier's timing harness.  The
 quiver is the shared fixture checks.framed_loops; arguments it refuses
 (more loops than loop names, or a loop named like a framing arrow) end in
 a one-line error.
@@ -27,26 +27,22 @@ from cohalab import (
     enumerate_trees,
     format_partition,
     format_tree,
-    membership_minors,
     motivic_class,
     multiplicity_power,
     tree_to_partition,
 )
 from cohalab.checks import framed_loops
 
-ORDERS = {"shortlex": PathOrder.shortlex(), "lex": PathOrder.lex()}
-
 
 def print_multiplicities(fq, trees, order, label):
-    """Time the minors and multiplicity of every equal-dimension pair, then
-    print one line per pair and the seconds."""
+    """Time the multiplicity of every equal-dimension pair, then print one
+    line per pair and the seconds."""
     dims = [cell_dim(fq, s, order) for s in trees]
     start = time.perf_counter()
     rows = []
     for a, da in zip(trees, dims):
         for b, db in zip(trees, dims):
             if da == db:
-                membership_minors(fq, a, b, order)
                 rows.append((a, b, multiplicity_power(fq, a, b, order)))
     seconds = time.perf_counter() - start
     print(f"-- {label} multiplicities: {len(rows)} equal-dimension pairs, target in chart")
@@ -60,7 +56,6 @@ def main():
     parser.add_argument("--dim", type=int, default=3)
     parser.add_argument("--loops", type=int, default=2)
     parser.add_argument("--framing", type=int, default=1)
-    parser.add_argument("--order", choices=sorted(ORDERS), help="one order only")
     parser.add_argument(
         "--multiplicities",
         action="store_true",
@@ -76,9 +71,7 @@ def main():
         sys.exit(f"error: {exc}")
     d = (args.dim,)
 
-    for label, order in ORDERS.items():
-        if args.order not in (None, label):
-            continue
+    for label, order in [("shortlex", PathOrder.shortlex()), ("lex", PathOrder.lex())]:
         print(f"== {label} order, d={args.dim}")
         trees = enumerate_trees(fq, d, order)
         for s in trees:

@@ -70,14 +70,13 @@ class Chart:
     def format_poly(self, p: Poly) -> str:
         return p.format(self.coord_name)
 
-    def vector(self, v: Path) -> tuple[Poly, ...]:
+    def vector(self, v: Path, memo: dict | None = None) -> tuple[Poly, ...]:
         """Coordinates of the path vector of v in the chart basis at its
         vertex: units on the basis, c[u,v] on critical paths.  Built
-        afresh on each call; nothing is kept."""
-        return self._vector(v, {})
-
-    def _vector(self, v: Path, memo: dict) -> tuple[Poly, ...]:
-        """vector(v), through memo: the vectors of this build so far."""
+        through memo, the vectors of this build so far (a fresh one when
+        none is given); the chart keeps nothing."""
+        if memo is None:
+            memo = {}
         out = memo.get(v)
         if out is not None:
             return out
@@ -92,12 +91,12 @@ class Chart:
             out = [Poly.variable(n, self.var_of[(u, v)]) for u in basis]
         else:
             u, a = parent(v), v[-1]
-            inner = self._vector(u, memo)
+            inner = self.vector(u, memo)
             out = [Poly.zero(n) for _ in basis]
             for k, u_k in enumerate(self.crit.slices[path_target(self.fq, u)]):
                 if inner[k].is_zero():
                     continue
-                column = self._vector(u_k + (a,), memo)
+                column = self.vector(u_k + (a,), memo)
                 for j in range(len(out)):
                     if not column[j].is_zero():
                         out[j] = out[j] + inner[k] * column[j]
@@ -118,7 +117,7 @@ class Chart:
         out = ()
         if size <= dim:  # otherwise the rank bound is the ambient dimension
             memo = {}
-            columns = [self._vector(u, memo) for u in family]
+            columns = [self.vector(u, memo) for u in family]
             out = tuple(
                 det_bareiss([[column[r] for column in columns] for r in rows])
                 for rows in combinations(range(dim), size)

@@ -1,6 +1,6 @@
-"""Polynomial and path helpers that only the tests use, and the earlier
-implementations of the cells, linalg and shuffle algebra layers kept as
-oracles."""
+"""Polynomial and path helpers that only the tests use, golden tables
+that more than one test module reads, and the earlier implementations of
+the cells, linalg and shuffle algebra layers kept as oracles."""
 
 from __future__ import annotations
 
@@ -285,6 +285,112 @@ def enumerate_trees_recursive(
 
     extend([ROOT], [0] * fq.vertex_count, order.sort(children(fq, ROOT)))
     return results
+
+
+# -- golden tables: two-loop closure multiplicities --------------------------------
+
+
+# closure multiplicities of every equal-dimension pair at two-loop d=3,
+# (target, chart): None where no specialization yields pure powers
+D3_MULTIPLICITIES = {
+    "shortlex": {
+        ("f,af,bf", "f,af,bf"): 1,
+        ("f,af,aaf", "f,af,aaf"): 1,
+        ("f,af,baf", "f,af,baf"): 1,
+        ("f,af,baf", "f,bf,abf"): 2,
+        ("f,bf,abf", "f,af,baf"): None,
+        ("f,bf,abf", "f,bf,abf"): 1,
+        ("f,bf,bbf", "f,bf,bbf"): 1,
+    },
+    "lex": {
+        ("f,af,aaf", "f,af,aaf"): 1,
+        ("f,af,baf", "f,af,baf"): 1,
+        ("f,af,bf", "f,af,bf"): 1,
+        ("f,af,bf", "f,bf,abf"): 4,
+        ("f,bf,abf", "f,af,bf"): None,
+        ("f,bf,abf", "f,bf,abf"): 1,
+        ("f,bf,bbf", "f,bf,bbf"): 1,
+    },
+}
+
+
+# the same at d=4, where the minors are 2x2 to 4x4: the Laplace step of
+# det_bareiss finds a zero column in some and leaves cores of 0x0, 2x2 and
+# 3x3 in the others
+D4_MULTIPLICITIES = {
+    "shortlex": {
+        ("f,af,bf,aaf", "f,af,bf,aaf"): 1,
+        ("f,af,bf,baf", "f,af,bf,baf"): 1,
+        ("f,af,bf,abf", "f,af,bf,abf"): 1,
+        ("f,af,bf,abf", "f,af,aaf,baf"): 1,
+        ("f,af,bf,bbf", "f,af,bf,bbf"): 1,
+        ("f,af,bf,bbf", "f,af,aaf,aaaf"): 2,
+        ("f,af,bf,bbf", "f,bf,abf,bbf"): 4,
+        ("f,af,aaf,baf", "f,af,bf,abf"): None,
+        ("f,af,aaf,baf", "f,af,aaf,baf"): 1,
+        ("f,af,aaf,aaaf", "f,af,bf,bbf"): None,
+        ("f,af,aaf,aaaf", "f,af,aaf,aaaf"): 1,
+        ("f,af,aaf,aaaf", "f,bf,abf,bbf"): 3,
+        ("f,af,aaf,baaf", "f,af,aaf,baaf"): 1,
+        ("f,af,aaf,baaf", "f,af,baf,abaf"): 1,
+        ("f,af,aaf,baaf", "f,bf,abf,aabf"): 3,
+        ("f,af,baf,abaf", "f,af,aaf,baaf"): None,
+        ("f,af,baf,abaf", "f,af,baf,abaf"): 1,
+        ("f,af,baf,abaf", "f,bf,abf,aabf"): 2,
+        ("f,af,baf,bbaf", "f,af,baf,bbaf"): 1,
+        ("f,af,baf,bbaf", "f,bf,abf,babf"): 2,
+        ("f,af,baf,bbaf", "f,bf,bbf,abbf"): 3,
+        ("f,bf,abf,bbf", "f,af,bf,bbf"): None,
+        ("f,bf,abf,bbf", "f,af,aaf,aaaf"): None,
+        ("f,bf,abf,bbf", "f,bf,abf,bbf"): 1,
+        ("f,bf,abf,aabf", "f,af,aaf,baaf"): None,
+        ("f,bf,abf,aabf", "f,af,baf,abaf"): None,
+        ("f,bf,abf,aabf", "f,bf,abf,aabf"): 1,
+        ("f,bf,abf,babf", "f,af,baf,bbaf"): None,
+        ("f,bf,abf,babf", "f,bf,abf,babf"): 1,
+        ("f,bf,abf,babf", "f,bf,bbf,abbf"): 1,
+        ("f,bf,bbf,abbf", "f,af,baf,bbaf"): None,
+        ("f,bf,bbf,abbf", "f,bf,abf,babf"): None,
+        ("f,bf,bbf,abbf", "f,bf,bbf,abbf"): 1,
+        ("f,bf,bbf,bbbf", "f,bf,bbf,bbbf"): 1,
+    },
+    "lex": {
+        ("f,af,aaf,aaaf", "f,af,aaf,aaaf"): 1,
+        ("f,af,aaf,baaf", "f,af,aaf,baaf"): 1,
+        ("f,af,aaf,baf", "f,af,aaf,baf"): 1,
+        ("f,af,aaf,baf", "f,af,baf,abaf"): None,
+        ("f,af,aaf,bf", "f,af,aaf,bf"): 1,
+        ("f,af,aaf,bf", "f,af,baf,bbaf"): None,
+        ("f,af,aaf,bf", "f,bf,abf,aabf"): 9,
+        ("f,af,baf,abaf", "f,af,aaf,baf"): None,
+        ("f,af,baf,abaf", "f,af,baf,abaf"): 1,
+        ("f,af,baf,bbaf", "f,af,aaf,bf"): None,
+        ("f,af,baf,bbaf", "f,af,baf,bbaf"): 1,
+        ("f,af,baf,bbaf", "f,bf,abf,aabf"): None,
+        ("f,af,baf,bf", "f,af,baf,bf"): 1,
+        ("f,af,baf,bf", "f,af,bf,abf"): 1,
+        ("f,af,baf,bf", "f,bf,abf,babf"): None,
+        ("f,af,bf,abf", "f,af,baf,bf"): None,
+        ("f,af,bf,abf", "f,af,bf,abf"): 1,
+        ("f,af,bf,abf", "f,bf,abf,babf"): 5,
+        ("f,af,bf,bbf", "f,af,bf,bbf"): 1,
+        ("f,af,bf,bbf", "f,bf,abf,bbf"): 4,
+        ("f,af,bf,bbf", "f,bf,bbf,abbf"): 2,
+        ("f,bf,abf,aabf", "f,af,aaf,bf"): None,
+        ("f,bf,abf,aabf", "f,af,baf,bbaf"): None,
+        ("f,bf,abf,aabf", "f,bf,abf,aabf"): 1,
+        ("f,bf,abf,babf", "f,af,baf,bf"): None,
+        ("f,bf,abf,babf", "f,af,bf,abf"): None,
+        ("f,bf,abf,babf", "f,bf,abf,babf"): 1,
+        ("f,bf,abf,bbf", "f,af,bf,bbf"): None,
+        ("f,bf,abf,bbf", "f,bf,abf,bbf"): 1,
+        ("f,bf,abf,bbf", "f,bf,bbf,abbf"): 1,
+        ("f,bf,bbf,abbf", "f,af,bf,bbf"): None,
+        ("f,bf,bbf,abbf", "f,bf,abf,bbf"): None,
+        ("f,bf,bbf,abbf", "f,bf,bbf,abbf"): 1,
+        ("f,bf,bbf,bbbf", "f,bf,bbf,bbbf"): 1,
+    },
+}
 
 
 # -- oracles: the shuffle algebra on expanded polynomials --------------------------

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from test_charts import D3_MULTIPLICITIES
+from helpers import D3_MULTIPLICITIES
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -52,18 +52,6 @@ def test_two_loop_tables_prints_the_d3_multiplicity_tables():
             table[(words[0], words[2])] = None if words[3] == "None" else int(words[3])
     assert tables == D3_MULTIPLICITIES
     assert [kind for kind, _ in timed] == ["shortlex", "lex"]
-
-
-def test_two_loop_tables_one_order():
-    done = subprocess.run(
-        [sys.executable, str(SCRIPTS / "two_loop_tables.py"), "--dim", "2", "--order", "lex"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    headers = [line for line in done.stdout.splitlines() if line.startswith("==")]
-    assert headers == ["== lex order, d=2"]
 
 
 @pytest.mark.parametrize(
