@@ -2,8 +2,8 @@
 """Time the basis theorem on the frontier sweeps and check their dimensions.
 
 Runs verify_basis degree by degree on the two-loop quiver at d=7
-(n=0..21) and on the Grassmannian Gr(5,10), the no-arrow quiver framed 10
-at d=5 (n=0..26).  Each degree prints its kernel and quotient dimensions,
+(n=0..21) and d=8 (n=0..24), and on the Grassmannian Gr(5,10), the
+no-arrow quiver framed 10 at d=5 (n=0..26).  Each degree prints its kernel and quotient dimensions,
 PASS or FAIL, and the seconds it took.  The kernel dimensions are checked
 against the stored values below, and the Gr(5,10) quotients against the
 coefficients of the Gaussian binomial [10 choose 5].  Exits 1 on a
@@ -26,6 +26,13 @@ CASES = {
         framed_loops(2, 1),
         (7,),
         [0, 0, 0, 0, 0, 0, 0, 2, 3, 6, 10, 17, 28, 42, 61, 88, 124, 166, 223, 285, 358, 435],
+        None,
+    ),
+    "two-loop-d8": (
+        framed_loops(2, 1),
+        (8,),
+        [0, 0, 0, 0, 0, 0, 0, 0, 2, 3, 6, 10, 17, 26, 43, 61, 90, 124, 175, 234, 316, 410,
+         536, 678, 854],
         None,
     ),
     "gr-5-10": (

@@ -26,14 +26,14 @@ from __future__ import annotations
 import operator
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import accumulate, chain, combinations, permutations, product
 from math import comb, factorial, prod
 from operator import add, mul
 from typing import Mapping
 
-from .linalg import Span, rref
+from .linalg import Span
 from .partitions import MultiPartition, cell_labels, satisfies_phi
 from .polys import Coeff, Poly, divide, normal
 from .quiver import DimVector, FramedQuiver, Quiver, check_dim, euler_form, unit_vector
@@ -325,7 +325,8 @@ def shuffle_product(f: SymPoly, g: SymPoly) -> SymPoly:
     if scaled:
         expected = f.degree() + g.degree() - euler_form(q, d, e)
         homogeneous = f.is_homogeneous() and g.is_homogeneous()
-        if result.degree() > expected or (homogeneous and result.degree() != expected):
+        degree = result.degree()
+        if degree > expected or (homogeneous and degree != expected):
             raise AssertionError("shuffle product broke the degree law")
     return result
 
@@ -394,7 +395,8 @@ def slice_basis(d: DimVector, n: int) -> list[Signature]:
             if remaining == 0:
                 yield ()
             return
-        for k in range(remaining + 1):
+        # the last vertex takes all that remains
+        for k in range(remaining + 1) if i < nv - 1 else (remaining,):
             for lam in _partitions_bounded_length(k, d[i]):
                 padded = lam + (0,) * (d[i] - len(lam))
                 for rest in rec(i + 1, remaining - k):
@@ -421,32 +423,43 @@ def _row(p: SymPoly, index: dict[Signature, int]) -> tuple[Coeff, ...]:
     return tuple(row)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradedSubspace:
-    """Row-reduced subspace of one graded slice; equality is canonical.
+    """Subspace of one graded slice, held as an echelon linalg.Span of the
+    slice's coordinates; equality is canonical.
 
-    rows are the canonical form of linalg.rref: primitive integer rows with
-    positive pivots, in reduced echelon form, so adding them to a
-    linalg.Span eliminates nothing.
+    dim is the echelon rank.  rows, the canonical form of linalg.rref
+    (primitive integer rows with positive pivots, in reduced echelon form),
+    are computed from the echelon span only when first read; equality and
+    hashing read them.
     """
 
     d: DimVector
     n: int
     basis: tuple[Signature, ...]
-    rows: tuple[tuple[int, ...], ...]
+    echelon: Span = field(repr=False)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self.echelon.canonical())
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return self.echelon.rank
 
-    def _span(self) -> Span:
-        span = Span(len(self.basis))
-        for row in self.rows:
-            span.add(row)
-        return span
+    def _key(self):
+        return self.d, self.n, self.basis, self.rows
+
+    def __eq__(self, other):
+        if not isinstance(other, GradedSubspace):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def contains(self, row) -> bool:
-        return self._span().contains(row)
+        return self.echelon.contains(row)
 
 
 def kernel_graded_piece(fq: FramedQuiver, d: DimVector, n: int) -> GradedSubspace:
@@ -455,6 +468,7 @@ def kernel_graded_piece(fq: FramedQuiver, d: DimVector, n: int) -> GradedSubspac
     Spanned by shuffle products f * (idempotent cup g) where the inner
     factor ranges over subdimensions 0 < d' <= d and f, g over
     monomial-symmetric bases in the degrees allowed by the degree law.
+    Their rows go, sparsest first, into one echelon Span.
     """
     d, n = check_dim(fq.base, d), _natural(n, "degree")
     basis = slice_basis(d, n)
@@ -484,7 +498,7 @@ def kernel_graded_piece(fq: FramedQuiver, d: DimVector, n: int) -> GradedSubspac
                     if gen.degree() != n:
                         raise AssertionError("kernel generator in the wrong degree")
                     rows.append(_row(gen, index))
-    return GradedSubspace(d, n, tuple(basis), tuple(rref(rows)))
+    return GradedSubspace(d, n, tuple(basis), Span.of(len(basis), rows))
 
 
 def tautological_monomial(fq: FramedQuiver, lam: MultiPartition) -> SymPoly:
@@ -519,6 +533,8 @@ def verify_basis(fq: FramedQuiver, d: DimVector, n: int) -> BasisReport:
     size-n cell labels, read off the shortlex trees by cell_labels, and the
     tautological monomials of those labels must stay independent modulo
     the kernel slice: each of their rows enlarges the span of the kernel.
+    The label rows go into a copy of the kernel's echelon span, so the
+    kernel's canonical rows are never computed.
     """
     d, n = check_dim(fq.base, d), _natural(n, "degree")
     kernel = kernel_graded_piece(fq, d, n)
@@ -527,7 +543,7 @@ def verify_basis(fq: FramedQuiver, d: DimVector, n: int) -> BasisReport:
     labels = [lam for lam in cell_labels(fq, d) if lam.size == n]
     taut_rows = [_row(tautological_monomial(fq, lam), index) for lam in labels]
     quotient_dim = h_dim - kernel.dim
-    span = kernel._span()
+    span = kernel.echelon.copy()
     independent = quotient_dim == len(labels) and all(map(span.add, taut_rows))
     return BasisReport(d, n, h_dim, kernel.dim, quotient_dim, len(labels), independent)
 

@@ -128,7 +128,16 @@ class Poly:
         return Poly(self.nvars, {exp: -c for exp, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        if self.nvars != other.nvars:
+            raise ValueError("variable count mismatch")
+        out = dict(self.terms)
+        for exp, c in other.terms.items():
+            s = out.get(exp, ZERO) - c
+            if s:
+                out[exp] = s
+            else:
+                out.pop(exp, None)
+        return Poly(self.nvars, out)
 
     def __mul__(self, other: "Poly") -> "Poly":
         if self.nvars != other.nvars:

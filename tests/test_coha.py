@@ -7,6 +7,7 @@ import pytest
 
 from cohalab import (
     CohaError,
+    GradedSubspace,
     betti_numbers,
     cup_product,
     elementary,
@@ -28,7 +29,7 @@ from cohalab import coha
 from cohalab.checks import framed_an, roundtrip_fixtures
 from cohalab.cli import run
 from cohalab.coha import SymPoly, _row, _schur_to_monomial
-from cohalab.linalg import rref
+from cohalab.linalg import Span, rref
 from cohalab.polys import Poly
 from cohalab.quiver import FramedQuiver, Quiver, serialize_quiver_file
 from conftest import framed_a2, framed_loops, vertex_only
@@ -294,6 +295,31 @@ def test_kernel_dims_two_loop_d6(two_loop):
     assert all(type(x) is int for row in rows for x in row)
 
 
+def test_verify_basis_leaves_a_held_kernel_alone(two_loop, monkeypatch):
+    # verify_basis adds the label rows to a copy of the kernel's echelon span
+    kernel = kernel_graded_piece(two_loop, (6,), 9)
+    echelon_rows = list(kernel.echelon.rows)
+    monkeypatch.setattr(coha, "kernel_graded_piece", lambda fq, d, n: kernel)
+    report = verify_basis(two_loop, (6,), 9)
+    assert report.independent and report.partition_count > 0
+    assert report.kernel_dim == kernel.dim == 10
+    assert kernel.echelon.rows == echelon_rows
+    assert kernel == kernel_graded_piece(two_loop, (6,), 9)
+
+
+def test_graded_subspace_equality_is_canonical(two_loop):
+    a = kernel_graded_piece(two_loop, (6,), 10)
+    rows = a.rows
+    # another echelon basis of the same span: a sheared first row, the rest tripled
+    span = Span(len(a.basis))
+    for row in [tuple(map(add, rows[0], rows[1]))] + [tuple(3 * x for x in r) for r in rows[1:]]:
+        span.add(row)
+    b = GradedSubspace(a.d, a.n, a.basis, span)
+    assert b.echelon.rows != a.echelon.rows
+    assert a == b and hash(a) == hash(b) and a.rows == b.rows and a.dim == b.dim
+    assert a != kernel_graded_piece(two_loop, (6,), 11)
+
+
 def test_kernel_dims_two_loop_d7(two_loop):
     # golden values; the full sweep, n=0..21, is recorded in ROADMAP.md
     dims = [kernel_graded_piece(two_loop, (7,), n).dim for n in range(18)]
@@ -480,6 +506,27 @@ def test_slice_basis_counts():
     assert len(slice_basis((2,), 4)) == 3
     # two blocks of one variable each: compositions of n in two parts
     assert len(slice_basis((1, 1), 3)) == 4
+
+
+def padded_partitions_oracle(total: int, length: int) -> list[tuple[int, ...]]:
+    """Weakly decreasing tuples of the given length with entries summing to total."""
+    return [
+        tuple(reversed(p))
+        for p in combinations_with_replacement(range(total + 1), length)
+        if sum(p) == total
+    ]
+
+
+@pytest.mark.parametrize("d", [(0,), (1,), (3,), (0, 2), (2, 0), (1, 2), (2, 1, 0), (0, 1, 2), (1, 0, 1)])
+def test_slice_basis_matches_brute_force(d):
+    # every tuple of per-vertex padded partitions of size at most n, kept
+    # when the sizes add up to n
+    for n in range(7):
+        per_vertex = [
+            [lam for k in range(n + 1) for lam in padded_partitions_oracle(k, di)] for di in d
+        ]
+        oracle = sorted(sig for sig in product(*per_vertex) if sum(map(sum, sig)) == n)
+        assert slice_basis(d, n) == oracle
 
 
 def test_coordinates_roundtrip(two_loop):

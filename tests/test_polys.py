@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohalab import coha
-from cohalab.linalg import Span, rref, vec
+from cohalab import coha, linalg
+from cohalab.linalg import Span, dense, rref, vec
 from cohalab.polys import ExactDivisionError, Poly, det_bareiss
 from conftest import framed_loops, vertex_only
 from helpers import det_laplace, minors, rank_fraction, rref_fraction, substitute, var_degree
@@ -277,6 +277,24 @@ def test_exact_div_inverts_mul_on_large_sparse_polys():
             (product + Poly.variable(20, 0) ** 7).exact_div(g)
 
 
+def test_sub_is_add_of_negation():
+    rng = Random(23)
+    for _ in range(40):
+        f = random_sparse_poly(rng, 4, rng.randint(0, 12))
+        g = random_sparse_poly(rng, 4, rng.randint(0, 12))
+        h = f + g.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        for a, b in ((f, g), (h, f), (f, h), (g, g), (h, h)):
+            assert (a - b).terms == (a + (-b)).terms
+    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+    assert (x * y + x - (x + x * y)).terms == {}  # fully cancelling: no zero terms kept
+    assert (x - y.scale(0)).terms == x.terms
+
+
+def test_sub_refuses_a_variable_count_mismatch():
+    with pytest.raises(ValueError, match="variable count mismatch"):
+        Poly.variable(2, 0) - Poly.variable(3, 0)
+
+
 def test_minors_order():
     c = lambda v: Poly.const(0, v)
     rows = [[c(1), c(2)], [c(3), c(4)], [c(5), c(6)]]
@@ -328,7 +346,7 @@ def test_int_and_fraction_rows_stay_exact(rows):
     span = Span(len(rows[0]) if rows else 0)
     for row in rows:
         span.add(row)
-        assert_exact(x for r in span.rows for x in r)
+        assert_exact(x for _, vals in span.rows for x in vals)
     assert span.rank == len(reduced)
 
 
@@ -412,27 +430,63 @@ def test_rref_and_rank_match_fraction_oracle(shape):
     assert_canonical_rows(got)
 
 
-def test_rref_matches_fraction_oracle_on_kernel_generators(monkeypatch):
-    # the generator matrices of real kernel slices, captured where
-    # kernel_graded_piece reduces them: two-loop d=5 n=5..11 and Gr(4,7)
+def assert_echelon_span(span):
+    """Sparse rows: increasing columns, non-zero primitive int values with a
+    positive pivot first, each row zero at the pivots of the rows before it."""
+    pivots = set()
+    for cols, vals in span.rows:
+        assert len(cols) == len(vals) and all(map(bool, vals))
+        assert list(cols) == sorted(set(cols)) and 0 <= cols[0] and cols[-1] < span.dim
+        assert all(type(j) is int for j in cols) and all(type(x) is int for x in vals)
+        assert gcd(*vals) == 1 and vals[0] > 0
+        assert pivots.isdisjoint(cols)
+        pivots.add(cols[0])
+    assert_canonical_rows(dense(row, span.dim) for row in span.rows)
+
+
+def kernel_generator_spans(monkeypatch):
+    """(generator rows, echelon span, kernel) of real kernel slices, captured
+    where kernel_graded_piece builds its echelon span: two-loop d=5 n=5..11
+    and Gr(4,7)."""
     captured = []
+    span_of = Span.of.__func__
 
-    def capture(rows):
-        captured.append(rows)
-        return rref(rows)
+    def capture(cls, dim, rows):
+        rows = list(rows)
+        span = span_of(cls, dim, rows)
+        captured.append((rows, span))
+        return span
 
-    monkeypatch.setattr(coha, "rref", capture)
-    for n in range(5, 12):
-        coha.kernel_graded_piece(framed_loops(2, 1), (5,), n)
-    for n in range(14):
-        coha.kernel_graded_piece(vertex_only(7), (4,), n)
+    monkeypatch.setattr(Span, "of", classmethod(capture))
+    kernels = [coha.kernel_graded_piece(framed_loops(2, 1), (5,), n) for n in range(5, 12)]
+    kernels += [coha.kernel_graded_piece(vertex_only(7), (4,), n) for n in range(14)]
+    monkeypatch.undo()
+    assert len(captured) == len(kernels) == 21
+    return [(rows, span, k) for (rows, span), k in zip(captured, kernels)]
+
+
+def test_rref_matches_fraction_oracle_on_kernel_generators(monkeypatch):
     non_unit = 0
-    for rows in captured:
+    for rows, _, _ in kernel_generator_spans(monkeypatch):
         got = rref(rows)
         assert got == [primitive(r) for r in rref_fraction(rows)]
         assert_canonical_rows(got)
         non_unit += any(next(x for x in row if x) > 1 for row in got)
-    assert len(captured) == 21 and non_unit  # pivots other than 1 do occur
+    assert non_unit  # pivots other than 1 do occur
+
+
+def test_kernel_echelon_spans_are_primitive(monkeypatch):
+    # what linalg.nonexact_entries read off the kernel rows when rref ran
+    # inside kernel_graded_piece: every stored row is exact and canonical
+    for rows, span, kernel in kernel_generator_spans(monkeypatch):
+        assert span is kernel.echelon and span.dim == len(kernel.basis)
+        assert_echelon_span(span)
+        assert kernel.dim == span.rank == rank_fraction(rows)
+
+
+def test_kernel_rows_are_rref_of_generators(monkeypatch):
+    for rows, _, kernel in kernel_generator_spans(monkeypatch):
+        assert list(kernel.rows) == rref(rows)
 
 
 @settings(max_examples=100)
@@ -450,6 +504,23 @@ def test_rref_equal_for_equal_spans(shape, data):
     assert rref(other) == rref(rows)
 
 
+@pytest.mark.parametrize("limit", [1, linalg._SCALED_LIMIT, 1 << 4096])
+def test_content_division_limit_keeps_the_result(monkeypatch, limit):
+    # 30-bit entries make each multiplier up to 30 bits, so at the default
+    # limit the content is divided out every few steps; dividing at every
+    # step or never must give the same spans
+    monkeypatch.setattr(linalg, "_SCALED_LIMIT", limit)
+    rng = Random(31)
+    rows = [[rng.randint(-(1 << 30), 1 << 30) for _ in range(9)] for _ in range(7)]
+    rows += [[3 * a - 5 * b for a, b in zip(rows[0], rows[4])]]
+    assert rref(rows) == [primitive(r) for r in rref_fraction(rows)]
+    span = Span(9)
+    assert [span.add(row) for row in rows] == [True] * 7 + [False]
+    assert_echelon_span(span)
+    probe = [rng.randint(-9, 9) for _ in range(9)]
+    assert span.contains(probe) == (rank_fraction(rows + [probe]) == 7)
+
+
 @settings(max_examples=100)
 @given(matrices(), st.data())
 def test_span_matches_fraction_oracle(shape, data):
@@ -460,7 +531,7 @@ def test_span_matches_fraction_oracle(shape, data):
         assert span.add(row) == enlarged
         assert span.contains(row)
     assert span.rank == rank_fraction(rows)
-    assert_canonical_rows(span.rows)
+    assert_echelon_span(span)
     probes = data.draw(st.lists(st.lists(ENTRIES["mixed"], min_size=ncols, max_size=ncols), max_size=3))
     for probe in probes:
         inside = rank_fraction(rows + [probe]) == rank_fraction(rows)
