@@ -2,12 +2,15 @@
 """Time the basis theorem on the frontier sweeps and check their dimensions.
 
 Runs verify_basis degree by degree on the two-loop quiver at d=7
-(n=0..21) and d=8 (n=0..24), and on the Grassmannian Gr(5,10), the
-no-arrow quiver framed 10 at d=5 (n=0..26).  Each degree prints its kernel and quotient dimensions,
-PASS or FAIL, and the seconds it took.  The kernel dimensions are checked
-against the stored values below, and the Gr(5,10) quotients against the
-coefficients of the Gaussian binomial [10 choose 5].  Exits 1 on a
-mismatch or a FAIL.
+(n=0..21) and d=8 (n=0..24), on the Grassmannian Gr(5,10), the
+no-arrow quiver framed 10 at d=5 (n=0..26), and on the complete flag
+variety Fl(5), the linear quiver 0 -> 1 -> 2 -> 3 framed 5 at d=(4,3,2,1)
+(n=0..10).  Each degree prints its kernel and quotient dimensions, PASS
+or FAIL, and the seconds it took.  The kernel dimensions are checked
+against the stored values below, the Gr(5,10) quotients against the
+coefficients of the Gaussian binomial [10 choose 5], and the Fl(5)
+quotients against those of the q-multinomial [5; 1,1,1,1,1].  Exits 1 on
+a mismatch or a FAIL.
 """
 
 import argparse
@@ -17,11 +20,17 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cohalab import gaussian_binomial, verify_basis
-from cohalab.checks import framed_loops, vertex_only
+from cohalab import gaussian_binomial, q_multinomial, verify_basis
+from cohalab.checks import framed_an, framed_loops, vertex_only
 
 # kernel dimensions by degree n, from complete sweeps
 CASES = {
+    "fl-5": (
+        framed_an(4, 5),
+        (4, 3, 2, 1),
+        [0, 0, 4, 19, 60, 148, 319, 621, 1132, 1960, 3269],
+        q_multinomial([1] * 5).as_dict(),
+    ),
     "two-loop-d7": (
         framed_loops(2, 1),
         (7,),

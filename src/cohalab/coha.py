@@ -2,23 +2,14 @@
 
 Graded pieces are block-symmetric polynomials: one variable block per
 vertex, invariant under permutations inside each block.  An element is
-stored as its monomial-symmetric coordinates, the ones the kernel slices
-consume, so symmetry holds by construction.  Cup products multiply
-monomial-symmetric functions block by block.  The shuffle product is a
-shuffle sum whose kernel factors carry first-order poles on loopless
-vertices.  Its unshuffled core never expands f or g: the kernel factor
-K V_d V_e is invariant under S_d x S_e at looped blocks and alternating at
-loopless ones, so under the full (signed) symmetrisation every monomial
-of an orbit sum m_a contributes what its orbit representative x^a does,
-and the core is one shift of the cached kernel factor per pair of
-coordinates, weighted by both orbit sizes.  One pass over the core sums
-each orbit back into coordinates, loopless blocks through Schur
-coordinates (the bialternant formula absorbs the Vandermonde denominator),
-expanded into monomial-symmetric ones by tables built bottom-up from the
-branching rule.  Nothing is permuted per shuffle, the only polynomial
-products build the kernel factor once per (quiver, d, e), and the only
-division is the one by d! e! per coordinate.  Integer inputs stay int
-throughout.
+stored as its monomial-symmetric coordinates, so symmetry holds by
+construction, and cup products multiply them block by block.  Shuffle
+products and kernel slices run in mixed coordinates, Schur s_lam at
+loopless vertices and monomial-symmetric m_lam at looped ones, where each
+pair of coordinates is one shift of the arrow numerator: at a loopless
+block by s_a a_delta = a_{a+delta} (Macdonald, Symmetric Functions and
+Hall Polynomials, I.3), with sign (-1)^(C(d,2)+C(e,2)) and weight d! e!
+(see shuffle_product).  Integer inputs stay int throughout.
 """
 
 from __future__ import annotations
@@ -29,11 +20,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, combinations, permutations, product
-from math import comb, factorial, prod
+from math import factorial, prod
 from operator import add, mul
 from typing import Mapping
 
-from .linalg import Span
+from .linalg import Span, rref
 from .partitions import MultiPartition, cell_labels, satisfies_phi
 from .polys import Coeff, Poly, divide, normal
 from .quiver import DimVector, FramedQuiver, Quiver, check_dim, euler_form, unit_vector
@@ -207,123 +198,133 @@ def _block_product(a: tuple[int, ...], b: tuple[int, ...]) -> Expansion:
     return tuple((gam, n * _stabiliser_order(gam) // sa) for gam, n in counts.items())
 
 
-def _vandermonde(nvars: int, positions: tuple[int, ...]) -> Poly:
-    out = Poly.const(nvars, 1)
-    for a, b in combinations(positions, 2):
-        out = out * (Poly.variable(nvars, b) - Poly.variable(nvars, a))
-    return out
+@lru_cache(maxsize=64)
+def _loopless(q: Quiver) -> tuple[bool, ...]:
+    """Which vertices carry no loop: Schur coordinates there, monomial ones elsewhere."""
+    looped = {a.source for a in q.arrows if a.source == a.target}
+    return tuple(i not in looped for i in range(q.vertex_count))
 
 
 @lru_cache(maxsize=4096)
-def _kernel_factor(q: Quiver, d: DimVector, e: DimVector) -> tuple[Poly, tuple[bool, ...]]:
-    """The factor of the shuffle core that f, g leave alone; the loopless blocks of d+e."""
-    t = tuple(a + b for a, b in zip(d, e))
+def _numerator(q: Quiver, d: DimVector, e: DimVector) -> Poly:
+    """The arrow numerator of the shuffle core: the product of (y - x)^(-chi_ij)
+    over prefix variables x at vertex i and suffix variables y at j."""
+    t = tuple(map(add, d, e))
     n = sum(t)
     offs = block_offsets(t)
-    nv = q.vertex_count
-    units = [unit_vector(q, i) for i in range(nv)]
-    chi = [[euler_form(q, units[i], units[j]) for j in range(nv)] for i in range(nv)]
+    units = [unit_vector(q, i) for i in range(q.vertex_count)]
     out = Poly.const(n, 1)
+    for (i, u), (j, v) in product(enumerate(units), repeat=2):
+        power = -euler_form(q, u, v)
+        if power > 0:
+            for r, s in product(range(d[i]), range(e[j])):
+                x, y = (Poly.variable(n, k) for k in (offs[i] + r, offs[j] + d[j] + s))
+                out = out * (y - x) ** power
+    return out
 
-    # non-negative kernel exponents multiply into the numerator
-    for i in range(nv):
-        for j in range(nv):
-            power = -chi[i][j]
-            if power <= 0:
-                continue
-            for r in range(d[i]):
-                for s in range(e[j]):
-                    x, y = (Poly.variable(n, k) for k in (offs[i] + r, offs[j] + d[j] + s))
-                    out = out * (y - x) ** power
 
-    loopless = tuple(chi[i][i] == 1 and t[i] > 0 for i in range(nv))
+def _staircase(lam: tuple[int, ...]) -> tuple[int, ...]:
+    """lam + delta, delta = (k-1, ..., 0) for k = len(lam)."""
+    return tuple(map(add, lam, range(len(lam) - 1, -1, -1)))
 
-    # the complementary Vandermonde of each shuffle is the shuffled image of
-    # the block Vandermondes, so it folds into the core once and for all
-    for i in range(nv):
-        if loopless[i]:
-            out = out * _vandermonde(n, tuple(range(offs[i], offs[i] + d[i])))
-            out = out * _vandermonde(n, tuple(range(offs[i] + d[i], offs[i] + t[i])))
-    return out, loopless
+
+@lru_cache(maxsize=4096)
+def _alternant(block: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """(lam - delta, sign) with Alt(x^block) = sign a_lam, lam the sorted
+    block; sign 0 when two entries agree."""
+    lam = sorted(block, reverse=True)
+    if len(set(lam)) < len(lam):
+        return (), 0
+    sign = -1 if sum(x < y for x, y in combinations(block, 2)) % 2 else 1
+    return tuple(x - (len(lam) - 1 - j) for j, x in enumerate(lam)), sign
+
+
+def _shuffle_core(q: Quiver, d: DimVector, e: DimVector, f: Mapping, g: Mapping) -> dict:
+    """The shuffle product of f over d and g over e, all in mixed coordinates:
+    one shift of the arrow numerator per pair of coordinates, bucketed by
+    block-sorted exponents (see shuffle_product)."""
+    t = tuple(map(add, d, e))
+    loopless = _loopless(q)
+    blocks = list(zip(block_offsets(t), t, loopless))
+    terms = _numerator(q, d, e).terms.items()
+
+    def staircased(p):  # a_i + delta at loopless blocks; c times |orb a_i| at looped ones
+        for sig, c in p.items():
+            orbits = prod(_orbit_size(lam) for lam, ll in zip(sig, loopless) if not ll)
+            yield [_staircase(lam) if ll else lam for lam, ll in zip(sig, loopless)], c * orbits
+
+    buckets: dict[Signature, Coeff] = {}
+    gs = list(staircased(g))
+    for a, ca in staircased(f):
+        for b, cb in gs:
+            shift = tuple(chain.from_iterable(chain.from_iterable(zip(a, b))))
+            w = ca * cb
+            for exp, c in terms:
+                exp = tuple(map(add, exp, shift))
+                c *= w
+                key = []
+                for o, k, ll in blocks:
+                    if ll:
+                        lam, sign = _alternant(exp[o : o + k])
+                        if not sign:
+                            break
+                        c *= sign
+                    else:
+                        lam = tuple(sorted(exp[o : o + k], reverse=True))
+                    key.append(lam)
+                else:
+                    buckets[tuple(key)] = buckets.get(tuple(key), 0) + c
+
+    denominator = prod(
+        (-1) ** (x * y) if ll else factorial(x) * factorial(y) for x, y, ll in zip(d, e, loopless)
+    )
+    for key, c in buckets.items():  # a looped bucket times |Stab lam| is the coefficient of m_lam
+        buckets[key] = c * prod(_stabiliser_order(lam) for lam, ll in zip(key, loopless) if not ll)
+    return {key: divide(c, denominator) for key, c in buckets.items() if c}
+
+
+def _convert(coords: Mapping[Signature, Coeff], loopless, expand) -> dict[Signature, Coeff]:
+    """coords with each loopless block rewritten by expand: _schur_to_monomial
+    (mixed to monomial coordinates) or _monomial_to_schur (the inverse)."""
+    out: dict[Signature, Coeff] = {}
+    for sig, c in coords.items():
+        blocks = (expand(lam) if ll else ((lam, 1),) for lam, ll in zip(sig, loopless))
+        for combo in product(*blocks):
+            key = tuple(lam for lam, _ in combo)
+            out[key] = out.get(key, 0) + c * prod(k for _, k in combo)
+    return {sig: normal(c) for sig, c in out.items() if c}
 
 
 def shuffle_product(f: SymPoly, g: SymPoly) -> SymPoly:
     """The shuffle product of graded pieces over d and e, landing in d+e.
 
     The shuffle sum of f on block prefixes times g on block suffixes times
-    the kernel numerator, times the block Vandermondes V_d V_e at loopless
-    vertices, where the sum is divided by V_t, is 1/(d! e!) times the full
-    (signed) symmetrisation Sym of that unshuffled product, because it is
-    invariant under S_d x S_e at looped blocks and alternating at loopless
-    ones.  The kernel factor K (numerator times V_d V_e) has the same
-    invariance on its own, so Sym(pi(x^a x^b) K) = Sym(x^a x^b K) for pi in
-    S_d x S_e, and Sym(m_a(x') m_b(x'') K) = |orb a| |orb b| Sym(x^a x^b K).
-    The core is therefore sum over coordinates c_a of f and c_b of g of
-    c_a c_b |orb a| |orb b| x^(a, b) K: one shift of K's terms per pair.
-
-    One pass over the core buckets each exponent by its block-sorted lam.
-    A looped bucket is the coefficient of m_lam times |Stab lam|.  A
-    loopless bucket keeps exponents with distinct entries, each signed by
-    its sort, and is the coefficient of s_{lam-delta},
-    delta = (t-1, ..., 0), by the bialternant formula
-    s_mu = a_{mu+delta} / a_delta (Macdonald, Symmetric Functions and Hall
-    Polynomials, I.3); it carries (-1)^C(t,2) because V_t is
-    (-1)^C(t,2) a_delta, and _schur_to_monomial expands it into m_mu.
+    the arrow numerator N (first-order poles at loopless blocks) is
+    Sym(f g N V_d V_e) / (d! e! V_t), Sym the full symmetrisation (signed
+    at loopless blocks), V_k = prod_{p<q} (x_q - x_p) = (-1)^C(k,2) a_delta.
+    N is invariant under S_d x S_e, so a looped pair (m_a, m_b) gives
+    |orb a| |orb b| Sym(x^a x^b N), and by s_a a_delta = a_{a+delta}
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.3) a loopless
+    pair (s_a, s_b) gives (-1)^(C(d,2)+C(e,2)) d! e! Sym(x^(a+delta)
+    x^(b+delta) N): one shift of N, whose weight d! e! cancels.  Buckets
+    of shifted terms by block-sorted exponent lam read off Sym(x^alpha N)
+    / V_t: a looped bucket times |Stab lam| is the coefficient of m_lam; a
+    loopless one keeps distinct entries, signed by their sort, and is
+    (-1)^C(t,2) times that of s_{lam-delta}.  As C(t,2) - C(d,2) - C(e,2)
+    = d e, a loopless block signs the result (-1)^(d e) and a looped one
+    divides it by d! e!.  f and g enter _shuffle_core through
+    _monomial_to_schur; the result leaves through _schur_to_monomial.
     """
     if f.fq != g.fq:
         raise CohaError("elements live over different quivers")
     q = f.fq.base
-    d, e = f.d, g.d
-    t = tuple(a + b for a, b in zip(d, e))
-    offs = block_offsets(t)
-    nv = q.vertex_count
-
-    # one shift of the kernel factor per pair of orbit representatives, a on
-    # the block prefixes and b on the block suffixes, weighted by both orbits
-    kernel, loopless = _kernel_factor(q, d, e)
-    kernel_terms = kernel.terms.items()
-    core: dict[tuple[int, ...], Coeff] = {}
-    for a, ca in f.coords.items():
-        wa = ca * _orbit_size(a)
-        for b, cb in g.coords.items():
-            w = wa * cb * _orbit_size(b)
-            shift = tuple(chain.from_iterable(map(add, a, b)))
-            for exp, c in kernel_terms:
-                key = tuple(map(add, exp, shift))
-                core[key] = core.get(key, 0) + w * c
-
-    buckets: dict[Signature, Coeff] = {}
-    for exp, c in core.items():
-        key = []
-        for i in range(nv):
-            block = exp[offs[i] : offs[i] + t[i]]
-            lam = tuple(sorted(block, reverse=True))
-            if loopless[i]:
-                if len(set(lam)) < t[i]:
-                    break
-                if sum(a < b for a, b in combinations(block, 2)) % 2:
-                    c = -c
-                lam = tuple(x - (t[i] - 1 - k) for k, x in enumerate(lam))
-            key.append(lam)
-        else:
-            buckets[tuple(key)] = buckets.get(tuple(key), 0) + c
-
-    coords: dict[Signature, Coeff] = {}
-    for key, c in buckets.items():
-        expansions = [
-            _schur_to_monomial(lam) if loopless[i] else ((lam, _stabiliser_order(lam)),)
-            for i, lam in enumerate(key)
-        ]
-        for combo in product(*expansions):
-            sig = tuple(mu for mu, _ in combo)
-            coords[sig] = coords.get(sig, 0) + c * prod(k for _, k in combo)
-    sign = (-1) ** sum(comb(t[i], 2) for i in range(nv) if loopless[i])
-    denominator = sign * prod(factorial(x) for x in d + e)
-    scaled = {sig: divide(c, denominator) for sig, c in coords.items() if c}
-
-    result = SymPoly(f.fq, t, scaled)
-    if scaled:
-        expected = f.degree() + g.degree() - euler_form(q, d, e)
+    loopless = _loopless(q)
+    fs, gs = (_convert(p.coords, loopless, _monomial_to_schur) for p in (f, g))
+    mixed = _shuffle_core(q, f.d, g.d, fs, gs)
+    t = tuple(map(add, f.d, g.d))
+    result = SymPoly(f.fq, t, _convert(mixed, loopless, _schur_to_monomial))
+    if result.coords:
+        expected = f.degree() + g.degree() - euler_form(q, f.d, g.d)
         homogeneous = f.is_homogeneous() and g.is_homogeneous()
         degree = result.degree()
         if degree > expected or (homogeneous and degree != expected):
@@ -337,9 +338,9 @@ def _stabiliser_order(lam: tuple[int, ...]) -> int:
     return prod(factorial(m) for m in Counter(lam).values())
 
 
-def _orbit_size(sig: Signature) -> int:
-    """The number of distinct exponents in the block-permutation orbit of sig."""
-    return prod(factorial(len(lam)) // _stabiliser_order(lam) for lam in sig)
+def _orbit_size(lam: tuple[int, ...]) -> int:
+    """The number of distinct permutations of lam."""
+    return factorial(len(lam)) // _stabiliser_order(lam)
 
 
 @lru_cache(maxsize=4096)
@@ -365,6 +366,24 @@ def _schur_to_monomial(lam: tuple[int, ...]) -> Expansion:
             if mu[-1] >= m:
                 out[mu + (m,)] = out.get(mu + (m,), 0) + k
     return tuple(out.items())
+
+
+@lru_cache(maxsize=4096)
+def _monomial_to_schur(mu: tuple[int, ...]) -> Expansion:
+    """Pairs (lam, c) with m_mu = sum c s_lam in len(mu) variables.
+
+    s_lam is m_lam plus multiples of m_nu for nu below lam in dominance
+    order, so lexicographically below it: peel off the largest lam left,
+    with its coefficient c, by subtracting c s_lam, until nothing is left.
+    """
+    out, rest = [], Counter({mu: 1})
+    while rest:
+        lam = max(rest)
+        c = rest.pop(lam)
+        if c:
+            out.append((lam, c))
+            rest.subtract({nu: c * k for nu, k in _schur_to_monomial(lam) if nu != lam})
+    return tuple(out)
 
 
 # -- graded slices in the monomial symmetric basis --------------------------------
@@ -412,10 +431,10 @@ def _orbit(sig: Signature) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(chain.from_iterable(combo)) for combo in blocks)
 
 
-def _row(p: SymPoly, index: dict[Signature, int]) -> tuple[Coeff, ...]:
-    """The coordinates of p over the slice basis whose positions index holds."""
+def _row(coords: Mapping[Signature, Coeff], index: dict[Signature, int]) -> tuple[Coeff, ...]:
+    """The coordinates coords over the slice basis whose positions index holds."""
     row = [0] * len(index)
-    for sig, c in p.coords.items():
+    for sig, c in coords.items():
         j = index.get(sig)
         if j is None:
             raise CohaError("coordinate outside the declared graded slice")
@@ -425,23 +444,33 @@ def _row(p: SymPoly, index: dict[Signature, int]) -> tuple[Coeff, ...]:
 
 @dataclass(frozen=True, eq=False)
 class GradedSubspace:
-    """Subspace of one graded slice, held as an echelon linalg.Span of the
-    slice's coordinates; equality is canonical.
+    """Subspace of one graded slice, held as an echelon linalg.Span of its
+    mixed coordinates (Schur at loopless vertices, monomial-symmetric at
+    looped ones, over the same basis signatures), in which a kernel
+    generator is one shift of the arrow numerator: s_a a_delta =
+    a_{a+delta}, sign (-1)^(C(d,2)+C(e,2)), weight d! e! (shuffle_product).
 
-    dim is the echelon rank.  rows, the canonical form of linalg.rref
-    (primitive integer rows with positive pivots, in reduced echelon form),
-    are computed from the echelon span only when first read; equality and
-    hashing read them.
+    dim is the echelon rank.  rows, the canonical monomial-coordinate form
+    of linalg.rref, are computed from the echelon rows through
+    _schur_to_monomial when first read; equality and hashing read them.
+    contains takes a row of monomial coordinates.
     """
 
     d: DimVector
     n: int
     basis: tuple[Signature, ...]
     echelon: Span = field(repr=False)
+    loopless: tuple[bool, ...]
 
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.echelon.canonical())
+        mixed = ({self.basis[j]: x for j, x in zip(*row)} for row in self.echelon.rows)
+        monomial = (_convert(c, self.loopless, _schur_to_monomial) for c in mixed)
+        return tuple(rref(_row(c, self._index) for c in monomial))
+
+    @cached_property
+    def _index(self) -> dict[Signature, int]:
+        return {sig: j for j, sig in enumerate(self.basis)}
 
     @property
     def dim(self) -> int:
@@ -458,47 +487,54 @@ class GradedSubspace:
     def __hash__(self):
         return hash(self._key())
 
+    def _mixed_row(self, coords: Mapping[Signature, Coeff]) -> tuple[Coeff, ...]:
+        """The echelon's row of the element with monomial coordinates coords."""
+        return _row(_convert(coords, self.loopless, _monomial_to_schur), self._index)
+
     def contains(self, row) -> bool:
-        return self.echelon.contains(row)
+        return self.echelon.contains(self._mixed_row(dict(zip(self.basis, row))))
 
 
 def kernel_graded_piece(fq: FramedQuiver, d: DimVector, n: int) -> GradedSubspace:
     """Degree-n slice of the kernel of the quotient onto the framed module.
 
     Spanned by shuffle products f * (idempotent cup g) where the inner
-    factor ranges over subdimensions 0 < d' <= d and f, g over
-    monomial-symmetric bases in the degrees allowed by the degree law.
-    Their rows go, sparsest first, into one echelon Span.
+    factor ranges over subdimensions 0 < d' <= d and f, g over the mixed
+    bases (e_w s_b = s_{b+w}, e_w m_b = m_{b+w}) in the degrees allowed by
+    the degree law.  Each is one shift of the arrow numerator (s_a a_delta
+    = a_{a+delta}, sign (-1)^(C(d,2)+C(e,2)), weight d! e!), kept as its
+    non-zero coordinates and densified, sparsest first, into one echelon
+    Span of mixed coordinates.
     """
     d, n = check_dim(fq.base, d), _natural(n, "degree")
+    q = fq.base
     basis = slice_basis(d, n)
     index = {sig: j for j, sig in enumerate(basis)}
-    rows: list[tuple[Coeff, ...]] = []
+    gens = []
     for dprime in product(*(range(x + 1) for x in d)):
         if all(x == 0 for x in dprime):
             continue
         rest = tuple(a - b for a, b in zip(d, dprime))
-        budget = n + euler_form(fq.base, rest, dprime) - sum(map(mul, fq.framing, dprime))
+        budget = n + euler_form(q, rest, dprime) - sum(map(mul, fq.framing, dprime))
         if budget < 0:
             continue
         for p in range(budget + 1):
-            # e_w cup m_sig is m_{sig + w}; slice_basis signatures, shifted
-            # or not, are canonical, so each m_sig is built without re-checks
-            shifted = (
+            # slice_basis signatures, shifted by the framing or not, are canonical
+            shifted = [
                 tuple(tuple(x + w for x in lam) for w, lam in zip(fq.framing, sig))
                 for sig in slice_basis(dprime, budget - p)
-            )
-            gpolys = [SymPoly(fq, dprime, {sig: 1}) for sig in shifted]
+            ]
             for sig_f in slice_basis(rest, p):
-                fpoly = SymPoly(fq, rest, {sig_f: 1})
-                for gpoly in gpolys:
-                    gen = shuffle_product(fpoly, gpoly)
-                    if gen.is_zero():
-                        continue
-                    if gen.degree() != n:
+                for sig_g in shifted:
+                    gen = _shuffle_core(q, rest, dprime, {sig_f: 1}, {sig_g: 1})
+                    if any(_size(sig) != n for sig in gen):
                         raise AssertionError("kernel generator in the wrong degree")
-                    rows.append(_row(gen, index))
-    return GradedSubspace(d, n, tuple(basis), Span.of(len(basis), rows))
+                    if gen:
+                        gens.append(gen)
+    span = Span(len(basis))
+    for gen in sorted(gens, key=len):
+        span.add(_row(gen, index))
+    return GradedSubspace(d, n, tuple(basis), span, _loopless(q))
 
 
 def tautological_monomial(fq: FramedQuiver, lam: MultiPartition) -> SymPoly:
@@ -533,15 +569,14 @@ def verify_basis(fq: FramedQuiver, d: DimVector, n: int) -> BasisReport:
     size-n cell labels, read off the shortlex trees by cell_labels, and the
     tautological monomials of those labels must stay independent modulo
     the kernel slice: each of their rows enlarges the span of the kernel.
-    The label rows go into a copy of the kernel's echelon span, so the
-    kernel's canonical rows are never computed.
+    The label rows go, in mixed coordinates, into a copy of the kernel's
+    echelon span, so the kernel's canonical rows are never computed.
     """
     d, n = check_dim(fq.base, d), _natural(n, "degree")
     kernel = kernel_graded_piece(fq, d, n)
-    index = {sig: j for j, sig in enumerate(kernel.basis)}
-    h_dim = len(index)
+    h_dim = len(kernel.basis)
     labels = [lam for lam in cell_labels(fq, d) if lam.size == n]
-    taut_rows = [_row(tautological_monomial(fq, lam), index) for lam in labels]
+    taut_rows = [kernel._mixed_row(tautological_monomial(fq, lam).coords) for lam in labels]
     quotient_dim = h_dim - kernel.dim
     span = kernel.echelon.copy()
     independent = quotient_dim == len(labels) and all(map(span.add, taut_rows))

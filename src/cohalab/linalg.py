@@ -46,7 +46,7 @@ def vec(entries) -> Vector:
 
 def _integral(v) -> list[int]:
     """v scaled by the lcm of its denominators: a list of int."""
-    if all(type(x) is int for x in v):
+    if set(map(type, v)) <= {int}:
         return list(v)
     v = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
     scale = lcm(*(x.denominator for x in v))

@@ -17,7 +17,7 @@ from cohalab.cells import (
     udim,
 )
 from cohalab.checks import framed_a2, framed_loops, vertex_only
-from cohalab.coha import CohaError, SymPoly, _vandermonde, block_offsets
+from cohalab.coha import CohaError, SymPoly, block_offsets
 from cohalab.linalg import Span
 from cohalab.partitions import MultiPartition, satisfies_phi
 from cohalab.paths import ROOT, WSHORTLEX, Path, PathOrder, children, path_target
@@ -431,6 +431,14 @@ def is_block_symmetric(p: Poly, d: tuple[int, ...]) -> bool:
             if p.permute_vars(perm) != p:
                 return False
     return True
+
+
+def _vandermonde(nvars: int, positions: tuple[int, ...]) -> Poly:
+    """prod_{a<b} (x_b - x_a) over the variables at positions."""
+    out = Poly.const(nvars, 1)
+    for a, b in combinations(positions, 2):
+        out = out * (Poly.variable(nvars, b) - Poly.variable(nvars, a))
+    return out
 
 
 def per_shuffle_product(f: SymPoly, g: SymPoly) -> Poly:

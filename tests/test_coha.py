@@ -1,5 +1,7 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from math import prod
 from operator import add
 from random import Random
 
@@ -28,10 +30,10 @@ from cohalab import (
 from cohalab import coha
 from cohalab.checks import framed_an, roundtrip_fixtures
 from cohalab.cli import run
-from cohalab.coha import SymPoly, _row, _schur_to_monomial
+from cohalab.coha import SymPoly, _monomial_to_schur, _row, _schur_to_monomial
 from cohalab.linalg import Span, rref
 from cohalab.polys import Poly
-from cohalab.quiver import FramedQuiver, Quiver, serialize_quiver_file
+from cohalab.quiver import FramedQuiver, Quiver, euler_form, serialize_quiver_file
 from conftest import framed_a2, framed_loops, vertex_only
 from helpers import (
     SHUFFLE_FIXTURES,
@@ -125,7 +127,7 @@ def test_cup_product_matches_polynomial_oracle(fq, dims, max_total):
                 for b in slice_basis(d, q):
                     f, g = monomial_symmetric(fq, d, a), monomial_symmetric(fq, d, b)
                     want = poly_coordinates(poly_cup_product(f, g), d, basis)
-                    assert _row(cup_product(f, g), index) == want, (a, b)
+                    assert _row(cup_product(f, g).coords, index) == want, (a, b)
 
 
 @pytest.mark.parametrize(
@@ -314,7 +316,7 @@ def test_graded_subspace_equality_is_canonical(two_loop):
     span = Span(len(a.basis))
     for row in [tuple(map(add, rows[0], rows[1]))] + [tuple(3 * x for x in r) for r in rows[1:]]:
         span.add(row)
-    b = GradedSubspace(a.d, a.n, a.basis, span)
+    b = GradedSubspace(a.d, a.n, a.basis, span, a.loopless)
     assert b.echelon.rows != a.echelon.rows
     assert a == b and hash(a) == hash(b) and a.rows == b.rows and a.dim == b.dim
     assert a != kernel_graded_piece(two_loop, (6,), 11)
@@ -332,6 +334,102 @@ def test_schur_to_monomial_matches_tableaux():
         for lam in combinations_with_replacement(range(8, -1, -1), t):
             if sum(lam) <= 8:
                 assert dict(_schur_to_monomial(lam)) == kostka_by_tableaux(lam), lam
+
+
+def test_monomial_to_schur_inverts_the_tableaux_kostka_matrix():
+    # every shape with at most 5 parts, zeros included, and |mu| <= 8:
+    # m_mu = sum c_lam s_lam = sum c_lam K_{lam,nu} m_nu is m_mu again
+    for t in range(6):
+        for mu in combinations_with_replacement(range(8, -1, -1), t):
+            if sum(mu) > 8:
+                continue
+            expansion = _monomial_to_schur(mu)
+            assert all(type(c) is int and c for _, c in expansion)
+            for kostka in (kostka_by_tableaux, lambda lam: dict(_schur_to_monomial(lam))):
+                back = Counter()
+                for lam, c in expansion:
+                    for nu, k in kostka(lam).items():
+                        back[nu] += c * k
+                assert {nu: c for nu, c in back.items() if c} == {mu: 1}, mu
+
+
+def schur_element(fq, d, sig, loopless):
+    """s_sig at the loopless blocks and m_sig at the looped ones, as a SymPoly
+    whose monomial coordinates come from the tableaux Kostka numbers."""
+    coords = Counter()
+    for combo in product(
+        *(kostka_by_tableaux(lam).items() if ll else [(lam, 1)] for lam, ll in zip(sig, loopless))
+    ):
+        coords[tuple(mu for mu, _ in combo)] += prod(k for _, k in combo)
+    return SymPoly(fq, d, {mu: c for mu, c in coords.items() if c})
+
+
+MIXED_FIXTURES = [  # loopless, looped and mixed quivers: (name, quiver, d, degrees)
+    ("point-w3", vertex_only(3), (3,), range(7)),
+    ("two-loop", framed_loops(2, 1), (3,), range(7)),
+    ("a2", framed_a2(2), (2, 2), range(4)),
+    ("looped-and-loopless", dict((f[0], f[1]) for f in SHUFFLE_FIXTURES)["looped-and-loopless"],
+     (2, 2), range(5)),
+]
+
+
+@pytest.mark.parametrize(
+    "fq, d, degrees", [f[1:] for f in MIXED_FIXTURES], ids=[f[0] for f in MIXED_FIXTURES]
+)
+def test_kernel_generators_are_shuffle_products_in_mixed_coordinates(fq, d, degrees, monkeypatch):
+    # each generator kernel_graded_piece builds is the product of its two
+    # basis elements, built from tableaux, by the per-shuffle oracle and by
+    # the public product, read in mixed coordinates
+    captured = []
+    core = coha._shuffle_core
+
+    def record(q, d, e, f, g):
+        gen = core(q, d, e, f, g)
+        captured.append((d, e, f, g, gen))
+        return gen
+
+    monkeypatch.setattr(coha, "_shuffle_core", record)
+    for n in degrees:
+        kernel_graded_piece(fq, d, n)
+    monkeypatch.undo()
+    loopless = coha._loopless(fq.base)
+    repeated = 0
+    for rest, e, f, g, gen in captured:
+        (a,), (b,) = f, g
+        fs, gs = schur_element(fq, rest, a, loopless), schur_element(fq, e, b, loopless)
+        product_ = shuffle_product(fs, gs)
+        assert product_ == SymPoly.from_poly(fq, product_.d, per_shuffle_product(fs, gs))
+        assert coha._convert(product_.coords, loopless, _monomial_to_schur) == gen
+        repeated += any(ll and len(set(lam)) < len(lam) for lam, ll in zip(a + b, loopless * 2))
+    assert captured and (repeated or not any(loopless))
+
+
+@pytest.mark.parametrize(
+    "fq, d, degrees", [(vertex_only(7), (4,), range(14)), (framed_a2(3), (3, 2), range(5))]
+)
+def test_contains_takes_monomial_rows(fq, d, degrees):
+    # the monomial generators f * (e_w cup g) with g at the framed vertex lie
+    # in the kernel; the tautological monomials of the labels stay outside
+    e = (1,) + (0,) * (len(d) - 1)
+    rest = tuple(x - y for x, y in zip(d, e))
+    idempotent = framing_idempotent(fq, e)
+    labels = enumerate_partitions(fq, d)
+    checked = 0
+    for n in degrees:
+        kernel = kernel_graded_piece(fq, d, n)
+        index = {sig: j for j, sig in enumerate(kernel.basis)}
+        assert all(map(kernel.contains, kernel.rows))
+        budget = n + euler_form(fq.base, rest, e) - fq.framing[0]
+        for p in range(budget + 1):
+            for sig_f, sig_g in product(slice_basis(rest, p), slice_basis(e, budget - p)):
+                f = monomial_symmetric(fq, rest, sig_f)
+                g = cup_product(idempotent, monomial_symmetric(fq, e, sig_g))
+                assert kernel.contains(_row(shuffle_product(f, g).coords, index))
+                checked += 1
+        for lam in labels:
+            if lam.size == n:
+                assert not kernel.contains(_row(tautological_monomial(fq, lam).coords, index))
+    assert checked
 
 
 def test_kernel_dims_loopless_kostka_sizes():

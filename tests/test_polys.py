@@ -1,5 +1,6 @@
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import product
+from math import gcd, lcm, prod
 from random import Random
 
 import pytest
@@ -10,7 +11,15 @@ from cohalab import coha, linalg
 from cohalab.linalg import Span, dense, rref, vec
 from cohalab.polys import ExactDivisionError, Poly, det_bareiss
 from conftest import framed_loops, vertex_only
-from helpers import det_laplace, minors, rank_fraction, rref_fraction, substitute, var_degree
+from helpers import (
+    det_laplace,
+    kostka_by_tableaux,
+    minors,
+    rank_fraction,
+    rref_fraction,
+    substitute,
+    var_degree,
+)
 
 
 small_polys = st.dictionaries(
@@ -446,23 +455,48 @@ def assert_echelon_span(span):
 
 def kernel_generator_spans(monkeypatch):
     """(generator rows, echelon span, kernel) of real kernel slices, captured
-    where kernel_graded_piece builds its echelon span: two-loop d=5 n=5..11
-    and Gr(4,7)."""
+    where kernel_graded_piece adds its generators to its echelon span:
+    two-loop d=5 n=5..11 and Gr(4,7).  The rows are in the kernel's mixed
+    coordinates (Schur at Gr(4,7)'s loopless vertex)."""
     captured = []
-    span_of = Span.of.__func__
 
-    def capture(cls, dim, rows):
-        rows = list(rows)
-        span = span_of(cls, dim, rows)
-        captured.append((rows, span))
-        return span
+    class Recording(Span):
+        def __init__(self, dim):
+            super().__init__(dim)
+            self.added = []
+            captured.append(self)
 
-    monkeypatch.setattr(Span, "of", classmethod(capture))
+        def add(self, v):
+            self.added.append(v)
+            return super().add(v)
+
+    monkeypatch.setattr(coha, "Span", Recording)
     kernels = [coha.kernel_graded_piece(framed_loops(2, 1), (5,), n) for n in range(5, 12)]
     kernels += [coha.kernel_graded_piece(vertex_only(7), (4,), n) for n in range(14)]
     monkeypatch.undo()
     assert len(captured) == len(kernels) == 21
-    return [(rows, span, k) for (rows, span), k in zip(captured, kernels)]
+    return [(span.added, span, k) for span, k in zip(captured, kernels)]
+
+
+def monomial_rows(kernel, rows):
+    """Mixed-coordinate rows of kernel in monomial coordinates, through
+    the Kostka numbers counted by tableaux."""
+    index = {sig: j for j, sig in enumerate(kernel.basis)}
+    kostka = {}
+    out = []
+    for row in rows:
+        monomial = [0] * len(index)
+        for sig, x in zip(kernel.basis, row):
+            if not x:
+                continue
+            blocks = [
+                kostka.setdefault(lam, kostka_by_tableaux(lam)).items() if flag else [(lam, 1)]
+                for lam, flag in zip(sig, kernel.loopless)
+            ]
+            for combo in product(*blocks):
+                monomial[index[tuple(mu for mu, _ in combo)]] += x * prod(k for _, k in combo)
+        out.append(monomial)
+    return out
 
 
 def test_rref_matches_fraction_oracle_on_kernel_generators(monkeypatch):
@@ -485,8 +519,11 @@ def test_kernel_echelon_spans_are_primitive(monkeypatch):
 
 
 def test_kernel_rows_are_rref_of_generators(monkeypatch):
+    loopless = 0
     for rows, _, kernel in kernel_generator_spans(monkeypatch):
-        assert list(kernel.rows) == rref(rows)
+        assert list(kernel.rows) == rref(monomial_rows(kernel, rows))
+        loopless += any(kernel.loopless)
+    assert loopless == 14  # the Gr(4,7) slices convert through Kostka numbers
 
 
 @settings(max_examples=100)
