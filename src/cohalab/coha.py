@@ -9,7 +9,13 @@ loopless vertices and monomial-symmetric m_lam at looped ones, where each
 pair of coordinates is one shift of the arrow numerator: at a loopless
 block by s_a a_delta = a_{a+delta} (Macdonald, Symmetric Functions and
 Hall Polynomials, I.3), with sign (-1)^(C(d,2)+C(e,2)) and weight d! e!
-(see shuffle_product).  Integer inputs stay int throughout.
+(see shuffle_product).  One generator, _shifts, yields these shifts pair
+by pair, undivided: shuffle_product sums them and divides by the (d, e)
+denominator once, and kernel_graded_piece keeps each as a generator, a
+multiple of the product that spans the same line.  The tautological
+monomials verify_basis reads are built in the same mixed coordinates,
+vertex by vertex, by Pieri's rule: e_l s_mu sums s_nu over the vertical
+l-strips nu/mu (Macdonald I (5.17)).  Integer inputs stay int throughout.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, combinations, permutations, product
+from itertools import accumulate, chain, combinations, compress, permutations, product
 from math import factorial, prod
 from operator import add, mul
 from typing import Mapping
@@ -239,29 +245,30 @@ def _alternant(block: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     return tuple(x - (len(lam) - 1 - j) for j, x in enumerate(lam)), sign
 
 
-def _shuffle_core(q: Quiver, d: DimVector, e: DimVector, f: Mapping, g: Mapping) -> dict:
-    """The shuffle product of f over d and g over e, all in mixed coordinates:
-    one shift of the arrow numerator per pair of coordinates, bucketed by
-    block-sorted exponents (see shuffle_product)."""
+def _shifts(q: Quiver, d: DimVector, e: DimVector, f: Mapping, g: Mapping):
+    """One shift of the arrow numerator N per pair of mixed coordinates, a
+    of f over d and b of g over e, in the order of product(f, g): yields the
+    pair's shuffle product times the (d, e) denominator, bucketed by
+    block-sorted exponent (see shuffle_product).  The pair's weight
+    multiplies each bucket once."""
     t = tuple(map(add, d, e))
     loopless = _loopless(q)
+    looped = [not ll for ll in loopless]
     blocks = list(zip(block_offsets(t), t, loopless))
     terms = _numerator(q, d, e).terms.items()
 
     def staircased(p):  # a_i + delta at loopless blocks; c times |orb a_i| at looped ones
         for sig, c in p.items():
-            orbits = prod(_orbit_size(lam) for lam, ll in zip(sig, loopless) if not ll)
+            orbits = prod(map(_orbit_size, compress(sig, looped)))
             yield [_staircase(lam) if ll else lam for lam, ll in zip(sig, loopless)], c * orbits
 
-    buckets: dict[Signature, Coeff] = {}
     gs = list(staircased(g))
     for a, ca in staircased(f):
         for b, cb in gs:
             shift = tuple(chain.from_iterable(chain.from_iterable(zip(a, b))))
-            w = ca * cb
+            buckets: dict[Signature, int] = {}
             for exp, c in terms:
                 exp = tuple(map(add, exp, shift))
-                c *= w
                 key = []
                 for o, k, ll in blocks:
                     if ll:
@@ -274,13 +281,12 @@ def _shuffle_core(q: Quiver, d: DimVector, e: DimVector, f: Mapping, g: Mapping)
                     key.append(lam)
                 else:
                     buckets[tuple(key)] = buckets.get(tuple(key), 0) + c
-
-    denominator = prod(
-        (-1) ** (x * y) if ll else factorial(x) * factorial(y) for x, y, ll in zip(d, e, loopless)
-    )
-    for key, c in buckets.items():  # a looped bucket times |Stab lam| is the coefficient of m_lam
-        buckets[key] = c * prod(_stabiliser_order(lam) for lam, ll in zip(key, loopless) if not ll)
-    return {key: divide(c, denominator) for key, c in buckets.items() if c}
+            w = ca * cb  # a looped bucket times |Stab lam| is the coefficient of m_lam
+            yield {
+                key: c * w * prod(map(_stabiliser_order, compress(key, looped)))
+                for key, c in buckets.items()
+                if c
+            }
 
 
 def _convert(coords: Mapping[Signature, Coeff], loopless, expand) -> dict[Signature, Coeff]:
@@ -312,15 +318,24 @@ def shuffle_product(f: SymPoly, g: SymPoly) -> SymPoly:
     loopless one keeps distinct entries, signed by their sort, and is
     (-1)^C(t,2) times that of s_{lam-delta}.  As C(t,2) - C(d,2) - C(e,2)
     = d e, a loopless block signs the result (-1)^(d e) and a looped one
-    divides it by d! e!.  f and g enter _shuffle_core through
-    _monomial_to_schur; the result leaves through _schur_to_monomial.
+    divides it by d! e!.  f and g enter _shifts through _monomial_to_schur;
+    the buckets it yields pair by pair are summed and divided by that (d, e)
+    denominator once, and the result leaves through _schur_to_monomial.
     """
     if f.fq != g.fq:
         raise CohaError("elements live over different quivers")
     q = f.fq.base
     loopless = _loopless(q)
     fs, gs = (_convert(p.coords, loopless, _monomial_to_schur) for p in (f, g))
-    mixed = _shuffle_core(q, f.d, g.d, fs, gs)
+    total: dict[Signature, Coeff] = {}
+    for buckets in _shifts(q, f.d, g.d, fs, gs):
+        for key, c in buckets.items():
+            total[key] = total.get(key, 0) + c
+    denominator = prod(
+        (-1) ** (x * y) if ll else factorial(x) * factorial(y)
+        for x, y, ll in zip(f.d, g.d, loopless)
+    )
+    mixed = {key: divide(c, denominator) for key, c in total.items() if c}
     t = tuple(map(add, f.d, g.d))
     result = SymPoly(f.fq, t, _convert(mixed, loopless, _schur_to_monomial))
     if result.coords:
@@ -404,9 +419,16 @@ def slice_basis(d: DimVector, n: int) -> list[Signature]:
     """Monomial-symmetric basis labels of the degree-n piece over d.
 
     A label is one partition per vertex (padded to d_i), total size n;
-    sorted by the padded signature for a stable column order.
+    sorted by the padded signature for a stable column order.  A fresh
+    list from the cached table _slice_basis.
     """
-    d, n = tuple(_natural(x, "dimension entry") for x in d), _natural(n, "degree")
+    d = tuple(_natural(x, "dimension entry") for x in d)
+    return list(_slice_basis(d, _natural(n, "degree")))
+
+
+@lru_cache(maxsize=4096)
+def _slice_basis(d: DimVector, n: int) -> tuple[Signature, ...]:
+    """slice_basis(d, n) as a cached tuple, for validated d and n."""
     nv = len(d)
 
     def rec(i, remaining):
@@ -421,7 +443,7 @@ def slice_basis(d: DimVector, n: int) -> list[Signature]:
                 for rest in rec(i + 1, remaining - k):
                     yield (padded,) + rest
 
-    return sorted(rec(0, n))
+    return tuple(sorted(rec(0, n)))
 
 
 @lru_cache(maxsize=4096)
@@ -502,9 +524,11 @@ def kernel_graded_piece(fq: FramedQuiver, d: DimVector, n: int) -> GradedSubspac
     factor ranges over subdimensions 0 < d' <= d and f, g over the mixed
     bases (e_w s_b = s_{b+w}, e_w m_b = m_{b+w}) in the degrees allowed by
     the degree law.  Each is one shift of the arrow numerator (s_a a_delta
-    = a_{a+delta}, sign (-1)^(C(d,2)+C(e,2)), weight d! e!), kept as its
-    non-zero coordinates and densified, sparsest first, into one echelon
-    Span of mixed coordinates.
+    = a_{a+delta}, sign (-1)^(C(d,2)+C(e,2)), weight d! e!), one _shifts
+    call per (d', p), f of degree p.  They stay undivided: a non-zero
+    multiple of a row spans the same line, and Span.add stores it primitive
+    with a positive pivot.  Kept as their non-zero coordinates, they are
+    densified, sparsest first, into one echelon Span of mixed coordinates.
     """
     d, n = check_dim(fq.base, d), _natural(n, "degree")
     q = fq.base
@@ -520,35 +544,68 @@ def kernel_graded_piece(fq: FramedQuiver, d: DimVector, n: int) -> GradedSubspac
             continue
         for p in range(budget + 1):
             # slice_basis signatures, shifted by the framing or not, are canonical
-            shifted = [
-                tuple(tuple(x + w for x in lam) for w, lam in zip(fq.framing, sig))
-                for sig in slice_basis(dprime, budget - p)
-            ]
-            for sig_f in slice_basis(rest, p):
-                for sig_g in shifted:
-                    gen = _shuffle_core(q, rest, dprime, {sig_f: 1}, {sig_g: 1})
-                    if any(_size(sig) != n for sig in gen):
-                        raise AssertionError("kernel generator in the wrong degree")
-                    if gen:
-                        gens.append(gen)
+            shifted = {
+                tuple(tuple(x + w for x in lam) for w, lam in zip(fq.framing, sig)): 1
+                for sig in _slice_basis(dprime, budget - p)
+            }
+            for gen in _shifts(q, rest, dprime, dict.fromkeys(_slice_basis(rest, p), 1), shifted):
+                if any(_size(sig) != n for sig in gen):
+                    raise AssertionError("kernel generator in the wrong degree")
+                if gen:
+                    gens.append(gen)
     span = Span(len(basis))
     for gen in sorted(gens, key=len):
         span.add(_row(gen, index))
     return GradedSubspace(d, n, tuple(basis), span, _loopless(q))
 
 
+@lru_cache(maxsize=4096)
+def _elementary_product(lam: tuple[int, ...], loopless: bool) -> Expansion:
+    """Pairs (nu, c) with prod_k e_k^(lam_k - lam_(k+1)) = sum c s_nu in
+    len(lam) variables when loopless, sum c m_nu otherwise.
+
+    With l the number of non-zero parts, it is e_l times the product for
+    lam - 1^l.  e_l s_mu is the sum of s_nu over the nu that add 1 to l
+    distinct rows of mu, a vertical strip (Pieri's rule, Macdonald, Symmetric
+    Functions and Hall Polynomials, I (5.17)); e_l m_mu is m_(1^l) m_mu,
+    read off _block_product.
+    """
+    ell = len(lam) - lam.count(0)
+    if not ell:
+        return ((lam, 1),)
+    strip = (1,) * ell + (0,) * (len(lam) - ell)
+    out: dict[tuple[int, ...], int] = {}
+    for mu, c in _elementary_product(tuple(x - y for x, y in zip(lam, strip)), loopless):
+        if loopless:
+            rows = combinations(range(len(mu)), ell)
+            grown = (tuple(x + (j in js) for j, x in enumerate(mu)) for js in rows)
+            terms = ((nu, 1) for nu in grown if all(map(operator.ge, nu, nu[1:])))
+        else:
+            terms = _block_product(mu, strip)
+        for nu, k in terms:
+            out[nu] = out.get(nu, 0) + c * k
+    return tuple(out.items())
+
+
+def _tautological(lam: MultiPartition, loopless: tuple[bool, ...]) -> dict[Signature, int]:
+    """Mixed coordinates of the tautological monomial of lam: the product of
+    the per-vertex expansions of _elementary_product."""
+    blocks = map(_elementary_product, lam.parts, loopless)
+    return {tuple(nu for nu, _ in combo): prod(c for _, c in combo) for combo in product(*blocks)}
+
+
 def tautological_monomial(fq: FramedQuiver, lam: MultiPartition) -> SymPoly:
-    """Product over vertices and k of e_k to the power lambda_k - lambda_{k+1},
-    multiplied in coordinates."""
+    """Product over vertices and k of e_k to the power lambda_k - lambda_{k+1}.
+
+    Built in mixed coordinates by Pieri's rule (_elementary_product: vertical
+    strips at loopless vertices, Macdonald I (5.17)), then expanded to
+    monomial coordinates at the loopless blocks through _schur_to_monomial.
+    """
     d = lam.shape()
     if not satisfies_phi(fq, d, lam):  # public callers pass labels of their own
         raise CohaError("partition does not label a cell")
-    result = unit(fq, d)
-    for i, parts in enumerate(lam.parts):
-        for k in range(1, d[i] + 1):
-            for _ in range(parts[k - 1] - (parts[k] if k < d[i] else 0)):
-                result = cup_product(result, elementary(fq, d, i, k))
-    return result
+    loopless = _loopless(fq.base)
+    return SymPoly(fq, d, _convert(_tautological(lam, loopless), loopless, _schur_to_monomial))
 
 
 @dataclass(frozen=True)
@@ -569,14 +626,17 @@ def verify_basis(fq: FramedQuiver, d: DimVector, n: int) -> BasisReport:
     size-n cell labels, read off the shortlex trees by cell_labels, and the
     tautological monomials of those labels must stay independent modulo
     the kernel slice: each of their rows enlarges the span of the kernel.
-    The label rows go, in mixed coordinates, into a copy of the kernel's
-    echelon span, so the kernel's canonical rows are never computed.
+    The label rows are built in mixed coordinates by Pieri's rule
+    (_tautological, as tautological_monomial but with no expansion to
+    monomial coordinates and no phi check, as cell_labels gives labels) and
+    go into a copy of the kernel's echelon span, so the kernel's canonical
+    rows are never computed.
     """
     d, n = check_dim(fq.base, d), _natural(n, "degree")
     kernel = kernel_graded_piece(fq, d, n)
     h_dim = len(kernel.basis)
     labels = [lam for lam in cell_labels(fq, d) if lam.size == n]
-    taut_rows = [kernel._mixed_row(tautological_monomial(fq, lam).coords) for lam in labels]
+    taut_rows = [_row(_tautological(lam, kernel.loopless), kernel._index) for lam in labels]
     quotient_dim = h_dim - kernel.dim
     span = kernel.echelon.copy()
     independent = quotient_dim == len(labels) and all(map(span.add, taut_rows))

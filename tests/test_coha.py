@@ -1,7 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import prod
+from math import factorial, prod
 from operator import add
 from random import Random
 
@@ -379,27 +379,34 @@ MIXED_FIXTURES = [  # loopless, looped and mixed quivers: (name, quiver, d, degr
 def test_kernel_generators_are_shuffle_products_in_mixed_coordinates(fq, d, degrees, monkeypatch):
     # each generator kernel_graded_piece builds is the product of its two
     # basis elements, built from tableaux, by the per-shuffle oracle and by
-    # the public product, read in mixed coordinates
+    # the public product, read in mixed coordinates and left undivided:
+    # times the (d, e) denominator
     captured = []
-    core = coha._shuffle_core
+    shifts = coha._shifts
 
     def record(q, d, e, f, g):
-        gen = core(q, d, e, f, g)
-        captured.append((d, e, f, g, gen))
-        return gen
+        for (a, b), gen in zip(product(f, g), shifts(q, d, e, f, g), strict=True):
+            assert f[a] == g[b] == 1
+            captured.append((d, e, a, b, gen))
+            yield gen
 
-    monkeypatch.setattr(coha, "_shuffle_core", record)
+    monkeypatch.setattr(coha, "_shifts", record)
     for n in degrees:
         kernel_graded_piece(fq, d, n)
     monkeypatch.undo()
     loopless = coha._loopless(fq.base)
     repeated = 0
-    for rest, e, f, g, gen in captured:
-        (a,), (b,) = f, g
+    for rest, e, a, b, gen in captured:
         fs, gs = schur_element(fq, rest, a, loopless), schur_element(fq, e, b, loopless)
         product_ = shuffle_product(fs, gs)
         assert product_ == SymPoly.from_poly(fq, product_.d, per_shuffle_product(fs, gs))
-        assert coha._convert(product_.coords, loopless, _monomial_to_schur) == gen
+        denominator = prod(
+            (-1) ** (x * y) if ll else factorial(x) * factorial(y)
+            for x, y, ll in zip(rest, e, loopless)
+        )
+        mixed = coha._convert(product_.coords, loopless, _monomial_to_schur)
+        assert {sig: c * denominator for sig, c in mixed.items()} == gen
+        assert all(type(c) is int for c in gen.values())
         repeated += any(ll and len(set(lam)) < len(lam) for lam, ll in zip(a + b, loopless * 2))
     assert captured and (repeated or not any(loopless))
 
@@ -486,6 +493,68 @@ def test_tautological_rejects_nonlabel(two_loop):
         tautological_monomial(two_loop, lam)
 
 
+def cup_tautological(fq, d, parts):
+    """prod over vertices i and k of e_k^(parts_k - parts_(k+1)) at vertex i,
+    one cup product in monomial coordinates per factor."""
+    result = unit(fq, d)
+    for i, lam in enumerate(parts):
+        for k in range(1, d[i] + 1):
+            for _ in range(lam[k - 1] - (lam[k] if k < d[i] else 0)):
+                result = cup_product(result, elementary(fq, d, i, k))
+    return result
+
+
+def conjugate(lam, length):
+    """The conjugate partition of lam, padded to length parts."""
+    return tuple(sum(x > j for x in lam) for j in range(length))
+
+
+def test_elementary_product_matches_cup_products_and_kostka():
+    # every block of at most 5 variables and shape with parts at most 3:
+    # in Schur coordinates e_mu = sum K_{nu',mu} s_nu, mu = lam' the indices
+    # of the factors, and both coordinates agree with the cup-product route
+    fq = vertex_only(1)
+    for t in range(6):
+        for lam in combinations_with_replacement(range(3, -1, -1), t):
+            monomial = cup_tautological(fq, (t,), [lam]).coords
+            assert dict(coha._elementary_product(lam, False)) == {
+                mu: c for (mu,), c in monomial.items()
+            }, lam
+            schur = dict(coha._elementary_product(lam, True))
+            converted = coha._convert(monomial, (True,), _monomial_to_schur)
+            assert schur == {nu: c for (nu,), c in converted.items()}, lam
+            top = lam[0] if t else 0  # s_nu with nu_1 > lam_1 does not occur
+            shapes = combinations_with_replacement(range(top, -1, -1), t)
+            kostka = {
+                nu: kostka_by_tableaux(conjugate(nu, top)).get(conjugate(lam, top), 0)
+                for nu in shapes
+                if sum(nu) == sum(lam)
+            }
+            assert schur == {nu: k for nu, k in kostka.items() if k}, lam
+
+
+@pytest.mark.parametrize(
+    "fq, d, degrees",
+    [f[1:] for f in MIXED_FIXTURES] + [(framed_an(3, 4), (3, 2, 1), range(7))],
+    ids=[f[0] for f in MIXED_FIXTURES] + ["fl-4"],
+)
+def test_label_rows_by_pieri_match_cup_products(fq, d, degrees):
+    # the rows verify_basis reads, built by Pieri's rule, are the
+    # cup-product tautological monomials converted to mixed coordinates
+    labels = enumerate_partitions(fq, d)
+    checked = 0
+    for n in degrees:
+        kernel = kernel_graded_piece(fq, d, n)
+        for lam in labels:
+            if lam.size == n:
+                cup = cup_tautological(fq, d, lam.parts)
+                assert tautological_monomial(fq, lam) == cup
+                row = _row(coha._tautological(lam, kernel.loopless), kernel._index)
+                assert row == kernel._mixed_row(cup.coords), lam
+                checked += 1
+    assert checked
+
+
 def test_verify_basis_grassmannian():
     fq = vertex_only(4)
     quotients = [verify_basis(fq, (2,), n) for n in range(5)]
@@ -502,13 +571,13 @@ def test_verify_basis_reports_dependent_labels(two_loop, monkeypatch, tmp_path, 
     # two-loop d=3 n=2 has two labels; give both the same element, and the
     # slice must fail on independence alone
     honest = verify_basis(two_loop, (3,), 2)
-    original = coha.tautological_monomial
+    original = coha._tautological
     first = {}
 
-    def collapsed(fq, lam):
-        return first.setdefault((lam.shape(), lam.size), original(fq, lam))
+    def collapsed(lam, loopless):
+        return first.setdefault((lam.shape(), lam.size), original(lam, loopless))
 
-    monkeypatch.setattr(coha, "tautological_monomial", collapsed)
+    monkeypatch.setattr(coha, "_tautological", collapsed)
     r = verify_basis(two_loop, (3,), 2)
     assert r.partition_count == 2 and not r.independent
     assert (r.kernel_dim, r.quotient_dim) == (honest.kernel_dim, honest.quotient_dim)
@@ -593,6 +662,23 @@ def test_monomial_symmetric_exponents_are_naturals(two_loop, lam):
 def test_elementary_vertex_in_range(i):
     with pytest.raises(CohaError, match="vertex"):
         elementary(framed_a2(2), (2, 1), i, 1)
+
+
+def test_slice_basis_returns_fresh_lists():
+    first = slice_basis((2, 1), 3)
+    expected = list(first)
+    first.reverse()
+    first.append(first[0])
+    assert slice_basis((2, 1), 3) == expected
+    assert slice_basis([2, 1], 3) == expected
+    with pytest.raises(CohaError, match="dimension entry must be non-negative"):
+        slice_basis((2, -1), 3)
+    with pytest.raises(CohaError, match="dimension entry must be an integer"):
+        slice_basis((2.0, 1), 3)
+    with pytest.raises(CohaError, match="degree must be an integer"):
+        slice_basis((2, 1), 3.0)
+    with pytest.raises(CohaError, match="degree must be non-negative"):
+        slice_basis((2, 1), -1)
 
 
 def test_slice_basis_counts():
