@@ -37,7 +37,6 @@ from .coha import (
     CohaError,
     GradedSubspace,
     SymPoly,
-    cup_product,
     elementary,
     framing_idempotent,
     kernel_graded_piece,

@@ -197,6 +197,11 @@ def multiplicity_power(
     multiplicity for that coordinate is the total power.  The result is
     the smallest candidate over the distinguished choices, or None when no
     specialization yields pure powers.  Diagonal pairs give 1.
+
+    One pass over each minor's terms answers every choice: a term using no
+    vanishing coordinate survives every specialization with power 0, so
+    every choice fails; a term using exactly one survives only when that
+    one is kept, at its power; a term using more survives none.
     """
     chart = make_chart(fq, chart_tree, order)
     target_crit = make_chart(fq, target, order).crit
@@ -210,24 +215,20 @@ def multiplicity_power(
         for k, (u, v) in enumerate(chart.coords)
         if order.compare(u, v) > 0
     ]
-    if not vanishing:
-        return None
-    candidates = []
-    for star in vanishing:
-        others = [k for k in vanishing if k != star]
-        powers = []  # the power of the distinguished coordinate in each survivor
-        for det in minors:
-            restricted = det.set_vars_zero(others)
-            if restricted.is_zero():
-                continue
-            exps = {exp[star] for exp in restricted.terms}
-            if len(exps) != 1 or 0 in exps:
-                break
-            powers.append(exps.pop())
-        else:
-            if powers:
-                candidates.append(sum(powers))
-    return min(candidates, default=None)
+    # each choice's total power so far (0: no survivor yet), None once it fails
+    totals: dict[int, int | None] = dict.fromkeys(vanishing, 0)
+    for det in minors:
+        survivors: dict[int, set[int]] = {}
+        for exp in det.terms:
+            used = [k for k in vanishing if exp[k]]
+            if not used:
+                return None
+            if len(used) == 1:
+                survivors.setdefault(used[0], set()).add(exp[used[0]])
+        for star, exps in survivors.items():
+            if totals[star] is not None:
+                totals[star] = totals[star] + exps.pop() if len(exps) == 1 else None
+    return min(filter(None, totals.values()), default=None)
 
 
 def rep_from_chart(

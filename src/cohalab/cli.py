@@ -200,7 +200,11 @@ def parse_element(fq, text: str) -> coha.SymPoly:
     if not head.startswith("d="):
         raise DomainError("element must start with d=<dims>")
     d = _parse_dim(head[2:], fq)
-    return coha.SymPoly.from_poly(fq, d, _ExprParser(d, _tokenize(body)).parse())
+    try:
+        poly = _ExprParser(d, _tokenize(body)).parse()
+    except RecursionError:
+        raise DomainError("expression nests too deeply") from None
+    return coha.SymPoly.from_poly(fq, d, poly)
 
 
 # -- subcommand implementations ---------------------------------------------------

@@ -3,19 +3,20 @@
 Graded pieces are block-symmetric polynomials: one variable block per
 vertex, invariant under permutations inside each block.  An element is
 stored as its monomial-symmetric coordinates, so symmetry holds by
-construction, and cup products multiply them block by block.  Shuffle
-products and kernel slices run in mixed coordinates, Schur s_lam at
-loopless vertices and monomial-symmetric m_lam at looped ones, where each
-pair of coordinates is one shift of the arrow numerator: at a loopless
-block by s_a a_delta = a_{a+delta} (Macdonald, Symmetric Functions and
-Hall Polynomials, I.3), with sign (-1)^(C(d,2)+C(e,2)) and weight d! e!
-(see shuffle_product).  One generator, _shifts, yields these shifts pair
-by pair, undivided: shuffle_product sums them and divides by the (d, e)
-denominator once, and kernel_graded_piece keeps each as a generator, a
-multiple of the product that spans the same line.  The tautological
-monomials verify_basis reads are built in the same mixed coordinates,
-vertex by vertex, by Pieri's rule: e_l s_mu sums s_nu over the vertical
-l-strips nu/mu (Macdonald I (5.17)).  Integer inputs stay int throughout.
+construction.  Shuffle products and kernel slices run in mixed
+coordinates, Schur s_lam at loopless vertices and monomial-symmetric m_lam
+at looped ones, where each pair of coordinates is one shift of the arrow
+numerator: at a loopless block by s_a a_delta = a_{a+delta} (Macdonald,
+Symmetric Functions and Hall Polynomials, I.3), with sign
+(-1)^(C(d,2)+C(e,2)) and weight d! e! (see shuffle_product).  One
+generator, _shifts, yields these shifts pair by pair, undivided:
+shuffle_product sums them and divides by the (d, e) denominator once, and
+kernel_graded_piece keeps each as a generator, a multiple of the product
+that spans the same line.  A kernel slice is only its echelon span in
+mixed coordinates.  The tautological monomials verify_basis adds to it are
+built in the same coordinates, vertex by vertex, by Pieri's rule: e_l s_mu
+sums s_nu over the vertical l-strips nu/mu (Macdonald I (5.17)).  Integer
+inputs stay int throughout.
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ import operator
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, chain, combinations, compress, permutations, product
 from math import factorial, prod
 from operator import add, mul
 from typing import Mapping
 
-from .linalg import Span, rref
+from .linalg import Span
 from .partitions import MultiPartition, cell_labels, satisfies_phi
 from .polys import Coeff, Poly, divide, normal
 from .quiver import DimVector, FramedQuiver, Quiver, check_dim, euler_form, unit_vector
@@ -173,19 +174,6 @@ def framing_idempotent(fq: FramedQuiver, d: DimVector) -> SymPoly:
     """Product over vertices of (x_{i,1}...x_{i,d_i})^{w_i}."""
     d = check_dim(fq.base, d)
     return monomial_symmetric(fq, d, tuple((w,) * di for w, di in zip(fq.framing, d)))
-
-
-def cup_product(f: SymPoly, g: SymPoly) -> SymPoly:
-    """Ordinary polynomial product within one graded piece, block by block
-    in monomial-symmetric coordinates."""
-    f._check_compatible(g)
-    out: dict[Signature, Coeff] = {}
-    for a, ca in f.coords.items():
-        for b, cb in g.coords.items():
-            for combo in product(*map(_block_product, a, b)):
-                sig = tuple(gam for gam, _ in combo)
-                out[sig] = out.get(sig, 0) + ca * cb * prod(k for _, k in combo)
-    return SymPoly(f.fq, f.d, {sig: c for sig, c in out.items() if c})
 
 
 @lru_cache(maxsize=4096)
@@ -468,53 +456,23 @@ def _row(coords: Mapping[Signature, Coeff], index: dict[Signature, int]) -> tupl
 class GradedSubspace:
     """Subspace of one graded slice, held as an echelon linalg.Span of its
     mixed coordinates (Schur at loopless vertices, monomial-symmetric at
-    looped ones, over the same basis signatures), in which a kernel
-    generator is one shift of the arrow numerator: s_a a_delta =
-    a_{a+delta}, sign (-1)^(C(d,2)+C(e,2)), weight d! e! (shuffle_product).
-
-    dim is the echelon rank.  rows, the canonical monomial-coordinate form
-    of linalg.rref, are computed from the echelon rows through
-    _schur_to_monomial when first read; equality and hashing read them.
-    contains takes a row of monomial coordinates.
+    looped ones) over the slice basis signatures, whose positions index
+    holds.  In these coordinates a kernel generator is one shift of the
+    arrow numerator: s_a a_delta = a_{a+delta}, sign (-1)^(C(d,2)+C(e,2)),
+    weight d! e! (shuffle_product).  dim is the echelon rank.  Equality is
+    identity: two echelon spans of one subspace may differ row by row.
     """
 
     d: DimVector
     n: int
     basis: tuple[Signature, ...]
+    index: dict[Signature, int] = field(repr=False)
     echelon: Span = field(repr=False)
     loopless: tuple[bool, ...]
-
-    @cached_property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        mixed = ({self.basis[j]: x for j, x in zip(*row)} for row in self.echelon.rows)
-        monomial = (_convert(c, self.loopless, _schur_to_monomial) for c in mixed)
-        return tuple(rref(_row(c, self._index) for c in monomial))
-
-    @cached_property
-    def _index(self) -> dict[Signature, int]:
-        return {sig: j for j, sig in enumerate(self.basis)}
 
     @property
     def dim(self) -> int:
         return self.echelon.rank
-
-    def _key(self):
-        return self.d, self.n, self.basis, self.rows
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedSubspace):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def _mixed_row(self, coords: Mapping[Signature, Coeff]) -> tuple[Coeff, ...]:
-        """The echelon's row of the element with monomial coordinates coords."""
-        return _row(_convert(coords, self.loopless, _monomial_to_schur), self._index)
-
-    def contains(self, row) -> bool:
-        return self.echelon.contains(self._mixed_row(dict(zip(self.basis, row))))
 
 
 def kernel_graded_piece(fq: FramedQuiver, d: DimVector, n: int) -> GradedSubspace:
@@ -556,7 +514,7 @@ def kernel_graded_piece(fq: FramedQuiver, d: DimVector, n: int) -> GradedSubspac
     span = Span(len(basis))
     for gen in sorted(gens, key=len):
         span.add(_row(gen, index))
-    return GradedSubspace(d, n, tuple(basis), span, _loopless(q))
+    return GradedSubspace(d, n, tuple(basis), index, span, _loopless(q))
 
 
 @lru_cache(maxsize=4096)
@@ -629,14 +587,13 @@ def verify_basis(fq: FramedQuiver, d: DimVector, n: int) -> BasisReport:
     The label rows are built in mixed coordinates by Pieri's rule
     (_tautological, as tautological_monomial but with no expansion to
     monomial coordinates and no phi check, as cell_labels gives labels) and
-    go into a copy of the kernel's echelon span, so the kernel's canonical
-    rows are never computed.
+    go into a copy of the kernel's echelon span.
     """
     d, n = check_dim(fq.base, d), _natural(n, "degree")
     kernel = kernel_graded_piece(fq, d, n)
     h_dim = len(kernel.basis)
     labels = [lam for lam in cell_labels(fq, d) if lam.size == n]
-    taut_rows = [_row(_tautological(lam, kernel.loopless), kernel._index) for lam in labels]
+    taut_rows = [_row(_tautological(lam, kernel.loopless), kernel.index) for lam in labels]
     quotient_dim = h_dim - kernel.dim
     span = kernel.echelon.copy()
     independent = quotient_dim == len(labels) and all(map(span.add, taut_rows))

@@ -37,7 +37,7 @@ def parent(u: Path) -> Path:
 
 def children(fq: FramedQuiver, u: Path) -> list[Path]:
     """Paths a.u over arrows a starting at target(u); framing arrows at the root."""
-    return [u + (a,) for a in fq.arrows_from(path_target(fq, u))]
+    return [u + (a,) for a in fq.out_arrows[path_target(fq, u)]]
 
 
 def validate_path(fq: FramedQuiver, u: Path) -> Path:
@@ -158,11 +158,10 @@ def monomial_axiom_check(
         tu = path_target(fq, u)
         if tu == INF_VERTEX:
             continue
-        out_arrows = fq.arrows_from(tu)
         for v in pool[i + 1 :]:
             if path_target(fq, v) != tu:
                 continue
-            for a in out_arrows:
+            for a in fq.out_arrows[tu]:
                 if order.compare(u + (a,), v + (a,)) >= 0:
                     return (a, u, v)
     return None

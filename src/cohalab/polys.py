@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add, neg, sub
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 Exponent = tuple[int, ...]
 
@@ -185,16 +185,6 @@ class Poly:
         for exp, c in self.terms.items():
             out[tuple(exp[j] for j in inverse)] = c
         return Poly(n, out)
-
-    def set_vars_zero(self, indices: Iterable[int]) -> "Poly":
-        """Substitute 0 for the given variables (drop every term using them)."""
-        dead = set(indices)
-        out = {
-            exp: c
-            for exp, c in self.terms.items()
-            if all(exp[i] == 0 for i in dead)
-        }
-        return Poly(self.nvars, out)
 
     # -- exact division ------------------------------------------------------
 

@@ -179,9 +179,6 @@ class FramedQuiver:
                 return i
         raise QuiverError(f"unknown arrow {name!r}")
 
-    def arrows_from(self, vertex: int) -> tuple[int, ...]:
-        return self.out_arrows[vertex]
-
     # -- derived data ---------------------------------------------------------
 
     @property

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+from math import prod
 from typing import Mapping
 
 from cohalab.cells import (
@@ -18,7 +19,7 @@ from cohalab.cells import (
 )
 from cohalab.checks import framed_a2, framed_loops, vertex_only
 from cohalab.coha import CohaError, SymPoly, block_offsets
-from cohalab.linalg import Span
+from cohalab.linalg import Span, dense, rref
 from cohalab.partitions import MultiPartition, satisfies_phi
 from cohalab.paths import ROOT, WSHORTLEX, Path, PathOrder, children, path_target
 from cohalab.polys import Poly, det_bareiss
@@ -548,6 +549,34 @@ def kostka_by_tableaux(lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
 
     fill(0, (), [0] * t)
     return counts
+
+
+def monomial_rows(kernel, rows) -> list[list[int]]:
+    """Mixed-coordinate rows of kernel in monomial coordinates, through
+    the Kostka numbers counted by tableaux."""
+    index = kernel.index
+    kostka = {}
+    out = []
+    for row in rows:
+        monomial = [0] * len(index)
+        for sig, x in zip(kernel.basis, row):
+            if not x:
+                continue
+            blocks = [
+                kostka.setdefault(lam, kostka_by_tableaux(lam)).items() if flag else [(lam, 1)]
+                for lam, flag in zip(sig, kernel.loopless)
+            ]
+            for combo in product(*blocks):
+                monomial[index[tuple(mu for mu, _ in combo)]] += x * prod(k for _, k in combo)
+        out.append(monomial)
+    return out
+
+
+def canonical_rows(kernel) -> tuple[tuple[int, ...], ...]:
+    """The canonical form of a kernel slice: the rref of its echelon rows
+    in monomial coordinates.  Equal subspaces give equal rows."""
+    rows = (dense(row, len(kernel.basis)) for row in kernel.echelon.rows)
+    return tuple(rref(monomial_rows(kernel, rows)))
 
 
 def poly_cup_product(f: SymPoly, g: SymPoly) -> Poly:

@@ -69,9 +69,9 @@ def test_critical_set_s4(two_loop, shortlex):
         {
             u + (a,)
             for u in members
-            for a in two_loop.arrows_from(
+            for a in two_loop.out_arrows[
                 -1 if not u else two_loop.arrows[u[-1]].target
-            )
+            ]
             if u + (a,) not in members
         },
         key=shortlex.key,
@@ -105,7 +105,7 @@ def pairwise_definitions(fq, s, order):
         {
             u + (a,)
             for u in members
-            for a in fq.arrows_from(path_target(fq, u))
+            for a in fq.out_arrows[path_target(fq, u)]
             if u + (a,) not in members
         }
     )

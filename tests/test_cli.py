@@ -408,6 +408,14 @@ BAD_INPUTS = [
     pytest.param(
         ["shuffle", "--left", "d=1:" + "9" * 5000, "--right", "d=1:1"], None, id="long-integer"
     ),
+    pytest.param(
+        ["shuffle", "--left", "d=1:" + "(" * 400 + "x" + ")" * 400, "--right", "d=1:1"],
+        None,
+        id="deep-parentheses",
+    ),
+    pytest.param(
+        ["shuffle", "--left", "d=1:" + "-" * 2000 + "x", "--right", "d=1:1"], None, id="deep-minus"
+    ),
     pytest.param(["trees", "--dim", "2", "--weights", "a=2"], None, id="weights-without-order"),
     pytest.param(WSHORTLEX + ["--weights", "a=2,b=1,a=3"], None, id="weight-twice"),
     pytest.param(["trees", "--dim", "1_0"], None, id="dim-underscore"),

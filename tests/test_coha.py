@@ -9,9 +9,7 @@ import pytest
 
 from cohalab import (
     CohaError,
-    GradedSubspace,
     betti_numbers,
-    cup_product,
     elementary,
     enumerate_partitions,
     framing_idempotent,
@@ -37,6 +35,7 @@ from cohalab.quiver import FramedQuiver, Quiver, euler_form, serialize_quiver_fi
 from conftest import framed_a2, framed_loops, vertex_only
 from helpers import (
     SHUFFLE_FIXTURES,
+    canonical_rows,
     kostka_by_tableaux,
     per_shuffle_product,
     poly_coordinates,
@@ -55,6 +54,11 @@ def random_sympoly(fq, d, degree, rng):
                 if c:
                     total = total + monomial_symmetric(fq, d, sig).scale(c)
     return total
+
+
+def cup(f, g):
+    """The cup product, through the expanded-polynomial oracle."""
+    return SymPoly.from_poly(f.fq, f.d, poly_cup_product(f, g))
 
 
 # -- shuffle product ---------------------------------------------------------------
@@ -113,21 +117,20 @@ def test_shuffle_product_never_expands_orbits(fq, dims, max_total, monkeypatch):
     "fq, dims, max_total", [f[1:] for f in SHUFFLE_FIXTURES], ids=[f[0] for f in SHUFFLE_FIXTURES]
 )
 def test_cup_product_matches_polynomial_oracle(fq, dims, max_total):
-    rng = Random(31)
+    # orbit sums pairwise, block by block through _block_product (the looped
+    # blocks of _elementary_product), read back through the coordinates oracle
     for d in dims:
-        for _ in range(3):
-            f = random_fraction_element(fq, d, 2, rng)
-            g = random_fraction_element(fq, d, 2, rng)
-            assert cup_product(f, g).poly == poly_cup_product(f, g), d
-        # orbit sums pairwise, read back through the coordinates oracle
-        for p, q in [(1, 1), (1, 2), (2, 2)]:
+        for p, q in [(1, 1), (1, 2), (2, 2), (0, 3)]:
             basis = slice_basis(d, p + q)
             index = {sig: j for j, sig in enumerate(basis)}
             for a in slice_basis(d, p):
                 for b in slice_basis(d, q):
                     f, g = monomial_symmetric(fq, d, a), monomial_symmetric(fq, d, b)
+                    coords = Counter()
+                    for combo in product(*map(coha._block_product, a, b)):
+                        coords[tuple(gam for gam, _ in combo)] += prod(k for _, k in combo)
                     want = poly_coordinates(poly_cup_product(f, g), d, basis)
-                    assert _row(cup_product(f, g).coords, index) == want, (a, b)
+                    assert _row(coords, index) == want, (a, b)
 
 
 @pytest.mark.parametrize(
@@ -206,10 +209,8 @@ def test_framing_idempotent_distributes_over_shuffle(fq, dims):
         d, e = (dims[rng.randrange(len(dims))] for _ in range(2))
         t = tuple(map(add, d, e))
         a, b = random_sympoly(fq, d, 2, rng), random_sympoly(fq, e, 2, rng)
-        lhs = cup_product(framing_idempotent(fq, t), shuffle_product(a, b))
-        rhs = shuffle_product(
-            cup_product(framing_idempotent(fq, d), a), cup_product(framing_idempotent(fq, e), b)
-        )
+        lhs = cup(framing_idempotent(fq, t), shuffle_product(a, b))
+        rhs = shuffle_product(cup(framing_idempotent(fq, d), a), cup(framing_idempotent(fq, e), b))
         assert lhs == rhs
 
 
@@ -236,14 +237,11 @@ def test_quiver_mismatch():
 # -- cup product and idempotents -----------------------------------------------------
 
 
-def test_cup_examples(two_loop):
-    e1 = elementary(two_loop, (2,), 0, 1)
-    e2 = elementary(two_loop, (2,), 0, 2)
-    square = cup_product(e1, e1)
-    x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
-    assert square.poly == (x1 + x2) * (x1 + x2)
-    assert cup_product(e1, unit(two_loop, (2,))).poly == e1.poly
-    assert cup_product(e1, e2).poly == (x1 + x2) * (x1 * x2)
+def test_cup_examples():
+    # m_1 m_1 = m_2 + 2 m_11, m_1 m_0 = m_1 and m_1 m_11 = m_21 in two variables
+    assert dict(coha._block_product((1, 0), (1, 0))) == {(2, 0): 1, (1, 1): 2}
+    assert dict(coha._block_product((1, 0), (0, 0))) == {(1, 0): 1}
+    assert dict(coha._block_product((1, 0), (1, 1))) == {(2, 1): 1}
 
 
 def test_framing_idempotent(two_loop):
@@ -293,7 +291,7 @@ def test_kernel_dims_two_loop_d6(two_loop):
     reports = [verify_basis(two_loop, (6,), n) for n in range(14)]
     assert [r.kernel_dim for r in reports] == [0, 0, 0, 0, 0, 0, 2, 3, 6, 10, 19, 27, 44, 61]
     assert all(r.independent for r in reports)
-    rows = kernel_graded_piece(two_loop, (6,), 9).rows
+    rows = canonical_rows(kernel_graded_piece(two_loop, (6,), 9))
     assert all(type(x) is int for row in rows for x in row)
 
 
@@ -306,20 +304,7 @@ def test_verify_basis_leaves_a_held_kernel_alone(two_loop, monkeypatch):
     assert report.independent and report.partition_count > 0
     assert report.kernel_dim == kernel.dim == 10
     assert kernel.echelon.rows == echelon_rows
-    assert kernel == kernel_graded_piece(two_loop, (6,), 9)
-
-
-def test_graded_subspace_equality_is_canonical(two_loop):
-    a = kernel_graded_piece(two_loop, (6,), 10)
-    rows = a.rows
-    # another echelon basis of the same span: a sheared first row, the rest tripled
-    span = Span(len(a.basis))
-    for row in [tuple(map(add, rows[0], rows[1]))] + [tuple(3 * x for x in r) for r in rows[1:]]:
-        span.add(row)
-    b = GradedSubspace(a.d, a.n, a.basis, span, a.loopless)
-    assert b.echelon.rows != a.echelon.rows
-    assert a == b and hash(a) == hash(b) and a.rows == b.rows and a.dim == b.dim
-    assert a != kernel_graded_piece(two_loop, (6,), 11)
+    assert canonical_rows(kernel) == canonical_rows(kernel_graded_piece(two_loop, (6,), 9))
 
 
 def test_kernel_dims_two_loop_d7(two_loop):
@@ -424,18 +409,20 @@ def test_contains_takes_monomial_rows(fq, d, degrees):
     checked = 0
     for n in degrees:
         kernel = kernel_graded_piece(fq, d, n)
-        index = {sig: j for j, sig in enumerate(kernel.basis)}
-        assert all(map(kernel.contains, kernel.rows))
+        rows = canonical_rows(kernel)
+        span = Span.of(len(kernel.basis), rows)
+        assert span.rank == kernel.dim and all(map(span.contains, rows))
         budget = n + euler_form(fq.base, rest, e) - fq.framing[0]
         for p in range(budget + 1):
             for sig_f, sig_g in product(slice_basis(rest, p), slice_basis(e, budget - p)):
                 f = monomial_symmetric(fq, rest, sig_f)
-                g = cup_product(idempotent, monomial_symmetric(fq, e, sig_g))
-                assert kernel.contains(_row(shuffle_product(f, g).coords, index))
+                g = cup(idempotent, monomial_symmetric(fq, e, sig_g))
+                assert span.contains(_row(shuffle_product(f, g).coords, kernel.index))
                 checked += 1
         for lam in labels:
             if lam.size == n:
-                assert not kernel.contains(_row(tautological_monomial(fq, lam).coords, index))
+                row = _row(tautological_monomial(fq, lam).coords, kernel.index)
+                assert not span.contains(row)
     assert checked
 
 
@@ -460,7 +447,7 @@ def test_tautological_monomials_two_loop(two_loop):
     lam2 = make_partition(two_loop, (3,), [(2,)])
     t = tautological_monomial(two_loop, lam2)
     e1 = elementary(two_loop, (3,), 0, 1)
-    assert t.poly == cup_product(e1, e1).poly
+    assert t.poly == e1.poly * e1.poly
     assert t.degree() == 2
     lam11 = make_partition(two_loop, (3,), [(1, 1)])
     assert tautological_monomial(two_loop, lam11).poly == elementary(
@@ -500,7 +487,7 @@ def cup_tautological(fq, d, parts):
     for i, lam in enumerate(parts):
         for k in range(1, d[i] + 1):
             for _ in range(lam[k - 1] - (lam[k] if k < d[i] else 0)):
-                result = cup_product(result, elementary(fq, d, i, k))
+                result = cup(result, elementary(fq, d, i, k))
     return result
 
 
@@ -547,10 +534,11 @@ def test_label_rows_by_pieri_match_cup_products(fq, d, degrees):
         kernel = kernel_graded_piece(fq, d, n)
         for lam in labels:
             if lam.size == n:
-                cup = cup_tautological(fq, d, lam.parts)
-                assert tautological_monomial(fq, lam) == cup
-                row = _row(coha._tautological(lam, kernel.loopless), kernel._index)
-                assert row == kernel._mixed_row(cup.coords), lam
+                chained = cup_tautological(fq, d, lam.parts)
+                assert tautological_monomial(fq, lam) == chained
+                row = _row(coha._tautological(lam, kernel.loopless), kernel.index)
+                mixed = coha._convert(chained.coords, kernel.loopless, _monomial_to_schur)
+                assert row == _row(mixed, kernel.index), lam
                 checked += 1
     assert checked
 
@@ -600,9 +588,10 @@ def test_kernel_is_left_submodule_slice(fq):
     # f * k stays in the kernel for homogeneous f and kernel generators k
     d = (1,)
     rng = Random(9)
+    spans = {}  # one monomial-coordinate span per slice
     for kernel_degree in (1, 2):
         k1 = kernel_graded_piece(fq, d, kernel_degree)
-        for row in k1.rows:
+        for row in canonical_rows(k1):
             gen = unit(fq, d).scale(0)
             for c, s in zip(row, k1.basis):
                 if c:
@@ -615,8 +604,12 @@ def test_kernel_is_left_submodule_slice(fq):
                     prod = shuffle_product(f, gen)
                     if prod.is_zero():
                         continue
-                    piece = kernel_graded_piece(fq, prod.d, prod.degree())
-                    assert piece.contains(poly_coordinates(prod.poly, prod.d, piece.basis))
+                    key = prod.d, prod.degree()
+                    if key not in spans:
+                        piece = kernel_graded_piece(fq, *key)
+                        spans[key] = piece, Span.of(len(piece.basis), canonical_rows(piece))
+                    piece, span = spans[key]
+                    assert span.contains(poly_coordinates(prod.poly, prod.d, piece.basis))
 
 
 def test_top_degree(two_loop):

@@ -156,7 +156,7 @@ TWO_CYCLE = FramedQuiver(Quiver.make(2, [("a", 0, 1), ("b", 1, 0)]), (1, 1))
 def test_arrow_tables_match_scan(fq):
     for v in list(range(fq.vertex_count)) + [INF_VERTEX]:
         scan = tuple(i for i, a in enumerate(fq.arrows) if a.source == v)
-        assert fq.arrows_from(v) == scan
+        assert fq.out_arrows[v] == scan
     assert fq.targets == tuple(a.target for a in fq.arrows)
 
 
