@@ -8,11 +8,13 @@ exact arithmetic.  The non-root members and the critical paths of a
 subtree are together exactly the children of its members, so every tree
 question is one walk (_walk) that meets those children in ascending
 order and asks once whether each joins: make_subtree, critical_set,
-cell_dim and partitions.tree_to_partition ask whether it is a member,
-classify and partitions.partition_to_tree whether it joins the label they
-grow.  One rule (adjoin) places the children of a path among the paths
-still to meet, and enumerate_trees backtracks over the critical lists it
-keeps, so nothing is sorted.
+cell_dim, in_cell, in_degeneracy_locus and partitions.tree_to_partition
+ask whether it is a member (the membership tests also test each critical
+path against the members passed at its vertex), classify and
+partitions.partition_to_tree whether it joins the label they grow.  One
+rule (adjoin) places the children of a path among the paths still to
+meet, and enumerate_trees backtracks over the critical lists it keeps,
+so nothing is sorted.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .paths import (
     format_path,
     parent,
     parse_path,
-    path_target,
     validate_path,
 )
 from .quiver import INF_VERTEX, DimVector, FramedQuiver, QuiverError, check_dim
@@ -72,9 +73,9 @@ def make_subtree(fq: FramedQuiver, order: PathOrder, paths) -> Subtree:
 
 
 def udim(fq: FramedQuiver, s: Subtree) -> DimVector:
-    counts = [0] * fq.vertex_count
+    counts, targets = [0] * fq.vertex_count, fq.targets
     for u in s.nonroot:
-        counts[path_target(fq, u)] += 1
+        counts[targets[u[-1]]] += 1
     return tuple(counts)
 
 
@@ -346,69 +347,67 @@ def classify(fq: FramedQuiver, m: NumericRep, order: PathOrder) -> Subtree:
 
 
 def in_cell(fq: FramedQuiver, m: NumericRep, s: Subtree, order: PathOrder) -> bool:
-    """Exact membership test for the cell of the label s.
-
-    Requires the path vectors over s to form a basis and the representation
-    to lie in the degeneracy locus of s: given that basis, a critical v lies
-    in the span of the smaller basis vectors at its vertex exactly when its
-    critical family is dependent.  The prefixes the locus test grows are
-    prefixes of the basis, so one sweep does both (see _critical_sweep): it
-    stops at the first dependent prefix or the first critical vector
-    outside its prefix's span, and after the last critical path it grows
-    each slice to its end.  The slice lengths are the counts of s.
-    """
-    crit = critical_set(fq, s, order)
-    return tuple(map(len, crit.slices)) == m.d and _critical_sweep(fq, m, crit, basis=True)
+    """Exact membership test for the cell of the label s: the counts of s
+    are those of m, the path vectors over s form a basis, and m lies in the
+    degeneracy locus of s.  Given that basis, a critical v lies in the span
+    of the smaller basis vectors at its vertex exactly when its critical
+    family is dependent, so one walk (_membership_walk) tests both."""
+    return udim(fq, s) == m.d and _membership_walk(fq, m, s, order, basis=True)
 
 
 def in_degeneracy_locus(
     fq: FramedQuiver, m: NumericRep, s: Subtree, order: PathOrder
 ) -> bool:
-    """True iff every critical family {vectors at u <= v, same vertex} is dependent.
-
-    The family of a critical v at vertex i is the prefix slices[i][:k_v]
-    plus v, and k_v never decreases along the ascending critical list, so
-    one Span per vertex grows along its slice (see _critical_sweep).  Once
-    a prefix vector fails to enlarge it, every longer prefix, and each
-    family containing one, is dependent; otherwise the family is
-    independent exactly when v lies outside the span of its prefix.
-    """
-    crit = critical_set(fq, s, order)
-    if tuple(map(len, crit.slices)) != m.d:
+    """True iff every critical family {vectors at u <= v, same vertex} is
+    dependent, in one walk (_membership_walk)."""
+    if udim(fq, s) != m.d:
         raise CellError("subtree counts do not match the representation")
-    return _critical_sweep(fq, m, crit, basis=False)
+    return _membership_walk(fq, m, s, order, basis=False)
 
 
-def _critical_sweep(
-    fq: FramedQuiver, m: NumericRep, crit: CriticalSet, basis: bool
+def _membership_walk(
+    fq: FramedQuiver, m: NumericRep, s: Subtree, order: PathOrder, basis: bool
 ) -> bool:
-    """One walk over the ascending critical list, one Span per vertex grown
-    along its slice to k_v before the critical v there is tested.
-
-    Without basis: the degeneracy-locus test, where a dependent prefix
-    settles every later family at its vertex.  With basis: the slices must
-    also be independent, so a dependent prefix is a failure, and the
-    slices are grown to their ends once the critical paths are done.
+    """One walk (_walk) over the children of the members of s, one Span per
+    vertex.  The family of a critical v at vertex i is the prefix
+    slices[i][:k_v] met before it, plus v; the members' vectors join their
+    vertex's span only once a critical path there needs them.  A prefix
+    vector that fails to enlarge the span makes every later family there
+    dependent; otherwise the family is dependent exactly when v lies in
+    the span.  take expands nothing more once the answer is settled: at the
+    first independent family or, for the locus test, once no vertex has an
+    independent prefix.  With basis a dependent prefix fails too, and each
+    slice is grown to its end after the walk.
     """
-    targets = fq.targets
-    spans = [Span(di) for di in m.d]
+    members, spans = s.path_set, [Span(di) for di in m.d]
+    slices: list[list[Path]] = [[] for _ in m.d]
     free = [True] * len(m.d)  # the prefix grown so far at vertex i is independent
-    for v, kv in zip(crit.paths, crit.k):
-        i = targets[v[-1]]
-        span, prefix = spans[i], crit.slices[i]
-        while free[i] and span.rank < kv:
-            free[i] = span.add(m.path_vector(prefix[span.rank]))
-        if free[i]:
-            if not span.contains(m.path_vector(v)):
-                return False
-        elif basis:
+    answer = None
+
+    def take(c: Path, i: int) -> bool:
+        nonlocal answer
+        if answer is not None:
             return False
-    if basis:
-        for span, prefix in zip(spans, crit.slices):
-            while span.rank < len(prefix):
-                if not span.add(m.path_vector(prefix[span.rank])):
-                    return False
-    return True
+        if c in members:
+            slices[i].append(c)
+            return True
+        span, prefix = spans[i], slices[i]
+        while free[i] and span.rank < len(prefix):
+            free[i] = span.add(m.path_vector(prefix[span.rank]))
+        if free[i] and not span.contains(m.path_vector(c)):
+            answer = False  # an independent family
+        elif not free[i] and (basis or not any(free)):
+            answer = not basis  # a dependent prefix; or, no vertex left free
+        return False
+
+    _walk(fq, order, take)
+    if answer is None and basis:  # grow each slice to its end
+        answer = all(
+            span.add(m.path_vector(u))
+            for span, prefix in zip(spans, slices)
+            for u in prefix[span.rank :]
+        )
+    return answer is not False
 
 
 def random_rep(

@@ -11,9 +11,9 @@ memoised, and the chart memoises the minors of each critical family it is
 asked about.  The minors of a target depend on the chart and on the
 target's critical families only, so membership_minors,
 multiplicity_power and the charts command share every determinant.  Path
-vectors are not kept: each minors call builds the columns it needs
-through one memo that lives for that call.  The minors memo holds
-tuples, and the public functions hand out fresh lists.
+vectors are not kept: the families of one target build their columns
+through one memo that lives for that target's minors.  The minors memo
+holds tuples, and the public functions hand out fresh lists.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ class Chart:
     coords lists the (basis path, critical path) pairs at a common vertex,
     by vertex, then critical path; var_of indexes them, read-only.  The
     memo _minors (per critical family) holds tuples, so what it hands out
-    cannot be changed under the next caller.  Path vectors are built per
-    call and dropped with it.
+    cannot be changed under the next caller.  Path vectors are built
+    through the caller's memo and dropped with it.
     """
 
     fq: FramedQuiver
@@ -103,12 +103,12 @@ class Chart:
         memo[v] = out = tuple(out)
         return out
 
-    def minors(self, family: tuple[Path, ...]) -> tuple[Poly, ...]:
+    def minors(self, family: tuple[Path, ...], memo: dict) -> tuple[Poly, ...]:
         """The maximal minors of the columns vector(u), u in family, by row
         set; none when the family outnumbers its vertex's slice.  Memoised
         per family: a critical family slices[i][:k_v] + (v,) of any target
-        with this chart's counts.  The columns share one vector memo, which
-        goes when the call returns."""
+        with this chart's counts.  The columns are built through memo, the
+        caller's vector memo, which the chart does not keep."""
         out = self._minors.get(family)
         if out is not None:
             return out
@@ -116,7 +116,6 @@ class Chart:
         dim = len(self.crit.slices[path_target(self.fq, family[-1])])
         out = ()
         if size <= dim:  # otherwise the rank bound is the ambient dimension
-            memo = {}
             columns = [self.vector(u, memo) for u in family]
             out = tuple(
                 det_bareiss([[column[r] for column in columns] for r in rows])
@@ -163,9 +162,9 @@ def _target_minors(fq: FramedQuiver, target: CriticalSet, chart: Chart) -> list[
     """The minors of membership_minors, from the target's critical set."""
     if [len(b) for b in target.slices] != [len(b) for b in chart.crit.slices]:
         raise CellError("target and chart subtrees have different counts")
-    minors = []
+    minors, memo = [], {}  # one vector memo for all the target's families
     for v, kv in zip(target.paths, target.k):
-        minors += chart.minors(target.slices[path_target(fq, v)][:kv] + (v,))
+        minors += chart.minors(target.slices[path_target(fq, v)][:kv] + (v,), memo)
     return minors
 
 

@@ -128,11 +128,11 @@ class Span:
         return w
 
     def contains(self, v) -> bool:
-        return not any(self.reduce(v))
+        return len(self.rows) == self.dim or not any(self.reduce(v))  # a full span is Q^dim
 
     def add(self, v) -> bool:
-        """Adjoin v; returns True if it enlarged the span."""
-        w = self.reduce(v)
+        """Adjoin v; returns True if it enlarged the span (a full one cannot)."""
+        w = self.reduce(v) if len(self.rows) < self.dim else ()  # a full span is Q^dim
         cols = tuple(compress(range(len(w)), w))
         if not cols:
             return False
@@ -140,7 +140,7 @@ class Span:
         c = gcd(*vals)  # the content, signed so that the pivot turns positive
         if vals[0] < 0:
             c = -c
-        self.rows.append((cols, tuple(x // c for x in vals)))
+        self.rows.append((cols, tuple(vals) if c == 1 else tuple(x // c for x in vals)))
         return True
 
     @property

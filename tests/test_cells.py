@@ -27,6 +27,7 @@ from cohalab import (
     tree_to_partition,
     udim,
 )
+from cohalab import cells
 from cohalab.cells import NumericRep, adjoin, random_rep, random_stable_rep
 from cohalab.linalg import rref
 from cohalab.paths import ROOT, children, path_target
@@ -445,6 +446,17 @@ def test_membership_compares_counts_with_the_rep(two_loop, shortlex):
         in_degeneracy_locus(two_loop, m, s, shortlex)
 
 
+def test_membership_compares_per_vertex_counts(shortlex):
+    # counts (2,0) against d=(1,1): the totals agree, the vertices do not
+    fq = framed_a2(2)
+    m = random_stable_rep(fq, (1, 1), Random(5))
+    s = parse_tree(fq, shortlex, "e,f")
+    assert udim(fq, s) == (2, 0) and sum(udim(fq, s)) == sum(m.d)
+    assert not in_cell(fq, m, s, shortlex)
+    with pytest.raises(CellError, match="counts do not match"):
+        in_degeneracy_locus(fq, m, s, shortlex)
+
+
 def test_udim_of_parsed_tree(two_loop, shortlex):
     s = parse_tree(two_loop, shortlex, "f,af,bf")
     assert udim(two_loop, s) == (3,)
@@ -542,6 +554,31 @@ def test_degeneracy_locus_matches_rank_oracle(name, fq, dims):
     assert {got for got, _, _ in seen} == {True, False}
     assert {stable for _, stable, _ in seen} == {True, False}
     assert any(dependent for _, _, dependent in seen)
+
+
+def test_membership_builds_no_critical_set(monkeypatch):
+    # in_cell and in_degeneracy_locus are one walk each: with critical_set
+    # unavailable they still answer every tree as the oracles do
+    fq, d = framed_loops(2, 1), (4,)
+    rng = Random("one-walk")
+    reps = seeded_reps(fq, d, rng) + [random_rep(fq, d, rng, bound) for bound in (9, 1, 1)]
+    orders = (PathOrder.shortlex(), PathOrder.lex(), *weighted_orders(fq))
+    cases = [(m, order, s) for m in reps for order in orders for s in enumerate_trees(fq, d, order)]
+    expected = [
+        (in_cell_pairwise(fq, m, s, order), in_degeneracy_locus_by_rank(fq, m, s, order))
+        for m, order, s in cases
+    ]
+
+    def no_critical_set(*args):
+        raise AssertionError("membership built a critical set")
+
+    monkeypatch.setattr(cells, "critical_set", no_critical_set)
+    got = [
+        (in_cell(fq, m, s, order), in_degeneracy_locus(fq, m, s, order))
+        for m, order, s in cases
+    ]
+    assert got == expected
+    assert set(got) >= {(True, True), (False, True), (False, False)}
 
 
 # -- grown trees and the tree order ---------------------------------------------------

@@ -327,6 +327,27 @@ def test_span_incremental():
     assert not s.contains(vec([0, 1, 0]))
 
 
+def test_full_span_answers_without_reducing():
+    # a span of rank dim is all of Q^dim: contains and add need no elimination
+    full = Span(3)
+    for row in ([2, 1, 0], [0, 3, -1], [1, 0, 1]):
+        assert full.add(vec(row))
+    rows = list(full.rows)
+    full.reduce = lambda v: pytest.fail("a full span reduced a vector")
+    assert full.contains(vec([7, -4, 9]))
+    assert full.contains(vec([Fraction(1, 3), Fraction(-5, 2), 0]))
+    assert not full.add(vec([1, 2, 3]))
+    assert not full.add(vec([Fraction(2, 7), 1, Fraction(1, 5)]))
+    assert full.rows == rows
+    # one row short, a vector outside the span is still rejected
+    short = Span(3)
+    assert short.add(vec([2, 1, 0])) and short.add(vec([0, 3, -1]))
+    assert not short.contains(vec([1, 0, 1]))
+    assert short.contains(vec([2, 4, -1]))
+    assert short.add(vec([Fraction(1, 2), 0, Fraction(1, 2)]))
+    assert short.rank == 3
+
+
 entries = st.one_of(
     st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
 )
