@@ -6,11 +6,11 @@ total order with cell dimensions and partition labels, then the motivic
 class.  Defaults reproduce the d=3 tables.  With --multiplicities, each
 order's table is followed by the closure multiplicity of every
 equal-dimension pair (target in chart), as multiplicity_power returns it,
-and the seconds that the multiplicities of all the pairs (their minors
-included) took together; this is the chart frontier's timing harness.  The
-quiver is the shared fixture checks.framed_loops; arguments it refuses
-(more loops than loop names, or a loop named like a framing arrow) end in
-a one-line error.
+and the seconds all the pairs (their minors included) took: the chart
+frontier's timing harness, and at d=3 the order dependence of closure
+classes (a multiplicity 2 under shortlex, 4 under lex).  The quiver is the
+shared fixture checks.framed_loops; arguments it refuses (more loops than
+loop names, or a loop named like a framing arrow) end in a one-line error.
 """
 
 import argparse

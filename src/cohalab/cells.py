@@ -260,6 +260,11 @@ def parse_tree(fq: FramedQuiver, order: PathOrder, text: str) -> Subtree:
 # -- numeric representations -----------------------------------------------------
 
 
+def _block_shape(a, d: DimVector) -> tuple[int, int]:
+    """(rows, columns) of arrow a's matrix over d; a framing arrow has one column."""
+    return d[a.target], 1 if a.source == INF_VERTEX else d[a.source]
+
+
 @dataclass(frozen=True)
 class NumericRep:
     """Stable-candidate framed representation with rational matrices.
@@ -279,10 +284,8 @@ class NumericRep:
         check_dim(self.fq.base, self.d)
         if len(self.matrices) != len(self.fq.arrows):
             raise CellError("one matrix per framed arrow required")
-        for idx, a in enumerate(self.fq.arrows):
-            rows = self.d[a.target]
-            cols = 1 if a.source == INF_VERTEX else self.d[a.source]
-            m = self.matrices[idx]
+        for a, m in zip(self.fq.arrows, self.matrices):
+            rows, cols = _block_shape(a, self.d)
             if len(m) != rows or any(len(r) != cols for r in m):
                 raise CellError(
                     f"matrix for arrow {a.name!r} must be {rows}x{cols}"
@@ -311,8 +314,7 @@ def make_rep(fq: FramedQuiver, d: DimVector, entries) -> NumericRep:
     mats = []
     named = {k: v for k, v in entries.items()}
     for a in fq.arrows:
-        rows = d[a.target]
-        cols = 1 if a.source == INF_VERTEX else d[a.source]
+        rows, cols = _block_shape(a, d)
         block = named.pop(a.name, None)
         if block is None:
             mats.append(tuple((0,) * cols for _ in range(rows)))
@@ -417,8 +419,7 @@ def random_rep(
     d = check_dim(fq.base, d)
     mats = []
     for a in fq.arrows:
-        rows = d[a.target]
-        cols = 1 if a.source == INF_VERTEX else d[a.source]
+        rows, cols = _block_shape(a, d)
         mats.append(
             tuple(
                 tuple(rng.randint(-bound, bound) for _ in range(cols))

@@ -42,8 +42,8 @@ class Chart:
     coords lists the (basis path, critical path) pairs at a common vertex,
     by vertex, then critical path; var_of indexes them, read-only.  The
     memo _minors (per critical family) holds tuples, so what it hands out
-    cannot be changed under the next caller.  Path vectors are built
-    through the caller's memo and dropped with it.
+    cannot be changed under the next caller.  vector and minors build path
+    vectors through a memo their caller must pass, and drop them with it.
     """
 
     fq: FramedQuiver
@@ -70,13 +70,11 @@ class Chart:
     def format_poly(self, p: Poly) -> str:
         return p.format(self.coord_name)
 
-    def vector(self, v: Path, memo: dict | None = None) -> tuple[Poly, ...]:
+    def vector(self, v: Path, memo: dict) -> tuple[Poly, ...]:
         """Coordinates of the path vector of v in the chart basis at its
         vertex: units on the basis, c[u,v] on critical paths.  Built
-        through memo, the vectors of this build so far (a fresh one when
-        none is given); the chart keeps nothing."""
-        if memo is None:
-            memo = {}
+        through memo, the caller's dict of the vectors built so far; the
+        chart keeps nothing."""
         out = memo.get(v)
         if out is not None:
             return out
@@ -154,8 +152,9 @@ def chart_coordinates(
 def symbolic_vector(
     fq: FramedQuiver, s: Subtree, order: PathOrder, v: Path
 ) -> list[Poly]:
-    """Coordinates of the path vector of v in the chart basis at its vertex."""
-    return list(make_chart(fq, s, order).vector(v))
+    """Coordinates of the path vector of v in the chart basis at its
+    vertex, built through a fresh vector memo."""
+    return list(make_chart(fq, s, order).vector(v, {}))
 
 
 def _target_minors(fq: FramedQuiver, target: CriticalSet, chart: Chart) -> list[Poly]:

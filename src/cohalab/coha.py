@@ -95,7 +95,7 @@ class SymPoly:
             if coords.setdefault(sig, c) != c:
                 break
         else:
-            if len(poly.terms) == sum(len(_orbit(sig)) for sig in coords):
+            if len(poly.terms) == sum(prod(map(_orbit_size, sig)) for sig in coords):
                 return cls(fq, d, coords)
         raise CohaError("shuffle factors must be symmetric within each vertex block")
 

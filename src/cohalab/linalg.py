@@ -22,12 +22,12 @@ residue being reduced stays a dense int list.
 No pivot tolerances anywhere; a vector is in a span iff elimination leaves
 an exactly zero residue.  The canonical form of a subspace is its reduced
 row echelon form with each row scaled to a primitive integer row with a
-positive pivot; rref and Span.canonical return it as int tuples.
+positive pivot; rref returns it as int tuples.  A float entry is refused
+(polys.normal).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
 
@@ -48,7 +48,7 @@ def _integral(v) -> list[int]:
     """v scaled by the lcm of its denominators: a list of int."""
     if set(map(type, v)) <= {int}:
         return list(v)
-    v = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
+    v = vec(v)
     scale = lcm(*(x.denominator for x in v))
     return [x.numerator * (scale // x.denominator) for x in v]
 
@@ -68,11 +68,17 @@ def rref(rows) -> list[tuple[int, ...]]:
     are equal.
 
     The rows go into an echelon Span sparsest first (Span.of), which keeps
-    its rows sparser and their entries smaller; Span.canonical then
-    back-substitutes.
+    its rows sparser and their entries smaller.  Back-substitution then
+    adds its rows, by descending pivot, to a second Span, which clears each
+    at the pivots of the reduced rows below it; a row keeps its own pivot,
+    as it is zero before it, so the second Span holds the reduced rows.
     """
     rows = list(rows)
-    return Span.of(len(rows[0]) if rows else 0, rows).canonical()
+    dim = len(rows[0]) if rows else 0
+    reduced = Span(dim)
+    for row in sorted(Span.of(dim, rows).rows, reverse=True):
+        reduced.add(dense(row, dim))
+    return [dense(row, dim) for row in reversed(reduced.rows)]
 
 
 class Span:
@@ -146,16 +152,3 @@ class Span:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    def canonical(self) -> list[tuple[int, ...]]:
-        """The canonical form of the span, as rref returns it.
-
-        Back-substitution adds the rows, by descending pivot, to a second
-        Span, which clears each at the pivots of the reduced rows below it;
-        a row keeps its own pivot, as it is zero before it, so the second
-        Span holds the reduced rows.
-        """
-        reduced = Span(self.dim)
-        for row in sorted(self.rows, reverse=True):
-            reduced.add(dense(row, self.dim))
-        return [dense(row, self.dim) for row in reversed(reduced.rows)]

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import lcm
 
+from .polys import Coeff, normal
 from .quiver import INF_VERTEX, FramedQuiver, QuiverError
 
 Path = tuple[int, ...]
@@ -74,7 +74,7 @@ class PathOrder:
     """
 
     kind: str
-    weights: tuple[Fraction, ...] | None = None
+    weights: tuple[Coeff, ...] | None = None
     _int_weights: tuple[int, ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -84,10 +84,10 @@ class PathOrder:
             raise ValueError(f"unknown path order kind {self.kind!r}")
         if (self.weights is not None) != (self.kind == WSHORTLEX):
             raise ValueError("weights are given iff kind is weighted-shortlex")
-        if self.weights is not None and any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be strictly positive")
         if self.weights is not None:
-            exact = [Fraction(w) for w in self.weights]
+            exact = list(map(normal, self.weights))
+            if any(w <= 0 for w in exact):
+                raise ValueError("weights must be strictly positive")
             scale = lcm(*(w.denominator for w in exact))
             object.__setattr__(self, "_int_weights", tuple(int(w * scale) for w in exact))
 
@@ -101,9 +101,9 @@ class PathOrder:
 
     @classmethod
     def weighted_shortlex(cls, fq: FramedQuiver, weights_by_name) -> "PathOrder":
-        table = [Fraction(1)] * len(fq.arrows)
+        table = [1] * len(fq.arrows)
         for name, w in weights_by_name.items():
-            table[fq.arrow_index(name)] = Fraction(w)
+            table[fq.arrow_index(name)] = normal(w)
         return cls(WSHORTLEX, tuple(table))
 
     def key(self, u: Path):

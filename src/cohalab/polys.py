@@ -26,9 +26,12 @@ ONE = 1
 
 
 def normal(c) -> Coeff:
-    """c as an int when it is integral, else as a Fraction."""
+    """c as an int when it is integral, else as a Fraction.  A float is
+    refused (TypeError): it holds a binary fraction, not the number meant."""
     if type(c) is int:
         return c
+    if isinstance(c, float):
+        raise TypeError(f"inexact number {c!r}: give an int or a Fraction")
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
@@ -112,32 +115,26 @@ class Poly:
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def _combine(self, other: "Poly", op) -> "Poly":
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            s = out.get(exp, ZERO) + c
+            s = op(out.get(exp, ZERO), c)
             if s:
                 out[exp] = s
             else:
                 out.pop(exp, None)
         return Poly(self.nvars, out)
+
+    def __add__(self, other: "Poly") -> "Poly":
+        return self._combine(other, add)
 
     def __neg__(self) -> "Poly":
         return Poly(self.nvars, {exp: -c for exp, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = out.get(exp, ZERO) - c
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
-        return Poly(self.nvars, out)
+        return self._combine(other, sub)
 
     def __mul__(self, other: "Poly") -> "Poly":
         if self.nvars != other.nvars:

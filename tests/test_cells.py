@@ -345,6 +345,20 @@ def test_classify_generic_lands_in_top_cell(two_loop, shortlex):
     assert in_cell(two_loop, m, s, shortlex)
 
 
+def test_make_rep_refuses_a_float(two_loop):
+    with pytest.raises(TypeError, match="inexact"):
+        make_rep(two_loop, (1,), {"f": [[0.1]]})
+
+
+def test_numeric_rep_checks_each_matrix_shape(two_loop):
+    m = make_rep(two_loop, (2,), {"f": [[1], [0]]})
+    with pytest.raises(CellError, match="one matrix per framed arrow"):
+        NumericRep(two_loop, (2,), m.matrices[:-1])
+    short = m.matrices[:-1] + (m.matrices[-1][:1],)  # one row of a 2x2 block
+    with pytest.raises(CellError, match="must be 2x2"):
+        NumericRep(two_loop, (2,), short)
+
+
 def test_classify_rejects_lex(two_loop, lex):
     with pytest.raises(CellError):
         classify(two_loop, jordan_rep(two_loop), lex)

@@ -394,6 +394,8 @@ BAD_INPUTS = [
     pytest.param(["classify"], "rep 1\nframing 0 1\n", id="rep-framing-without-row"),
     pytest.param(["classify"], "rep 1\nframing 0 1\n1/0\n", id="rep-zero-denominator"),
     pytest.param(["classify"], "rep 1\nframing 0 1\nx\n", id="rep-non-number"),
+    pytest.param(["classify"], "rep 1\nmatrix a\n1 2\n", id="rep-matrix-too-wide"),
+    pytest.param(["classify"], "rep 1\nframing 0 1\n1 2\n", id="rep-framing-too-wide"),
     pytest.param(["bijection", "--partition", "[x]", "--dim", "3"], None, id="partition"),
     pytest.param(["bijection", "--partition", "[1]]", "--dim", "3"], None, id="partition-close"),
     pytest.param(["bijection", "--partition", "[[1]", "--dim", "3"], None, id="partition-open"),
@@ -443,6 +445,16 @@ def test_bad_input_is_one_error_line(args, file_text, two_loop_file, tmp_path, c
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: ")
+
+
+def test_decimal_numbers_are_read_exactly(two_loop_file, capsys):
+    # parse_number reads 1.5 as Fraction(3, 2), which passes the float gate
+    tables = []
+    for weight in ("1.5", "3/2"):
+        args = ["trees", "--dim", "3", "--order", "wshortlex", "--weights", f"b={weight}"]
+        assert run(args + ["-q", two_loop_file]) == 0
+        tables.append(lines_of(capsys))
+    assert tables[0] == tables[1] and len(tables[0]) == 5
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ from cohalab import (
     monomial_axiom_check,
     parse_path,
 )
-from cohalab.paths import ROOT, parent, paths_up_to_length
+from cohalab.paths import ROOT, WSHORTLEX, parent, paths_up_to_length
 from conftest import framed_a2, framed_loops
 from helpers import is_prefix
 
@@ -67,6 +67,19 @@ def test_monomial_axiom_weighted_clean(two_loop):
     assert monomial_axiom_check(two_loop, order, 5) is None
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda fq: PathOrder(WSHORTLEX, (1, 0.5, 1)),
+        lambda fq: PathOrder.weighted_shortlex(fq, {"a": 0.5}),
+    ],
+    ids=["PathOrder", "weighted_shortlex"],
+)
+def test_a_float_weight_is_refused(two_loop, build):
+    with pytest.raises(TypeError, match="inexact"):
+        build(two_loop)
+
+
 def test_monomial_axiom_lex_violation(two_loop, lex):
     # scan order finds (b, f, af) first; the pair from the worked example,
     # (b, af, a^2f), is a genuine violation as well and both are checked
@@ -104,6 +117,7 @@ def test_total_order_up_to_length_five(two_loop, kind):
         {"a": "1/2", "b": "2/3", "c": "5/7"},
         {"a": "3/2", "b": 1, "c": "7/4"},
         {"a": "1/2", "b": 1, "c": "1/3"},  # aaf and bf tie in weight
+        {"a": Fraction(1, 2), "b": 2, "c": Fraction(5, 7)},
     ],
 )
 def test_integer_weighted_keys_sort_like_fraction_keys(weights):

@@ -293,6 +293,17 @@ def test_sub_is_add_of_negation():
     assert (x - y.scale(0)).terms == x.terms
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: vec([0.1]), lambda: Poly.const(1, 0.5), lambda: Span(2).add((0.1, 1))],
+    ids=["vec", "Poly.const", "Span.add"],
+)
+def test_a_float_is_refused(build):
+    # 0.1 would become 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(TypeError, match="inexact"):
+        build()
+
+
 def test_sub_refuses_a_variable_count_mismatch():
     with pytest.raises(ValueError, match="variable count mismatch"):
         Poly.variable(2, 0) - Poly.variable(3, 0)
