@@ -51,7 +51,6 @@ from .coha import (
 from .partitions import (
     MultiPartition,
     cell_labels,
-    compare_partitions,
     enumerate_partitions,
     format_partition,
     make_partition,
@@ -68,9 +67,7 @@ from .paths import (
     WSHORTLEX,
     Path,
     PathOrder,
-    children,
     format_path,
-    monomial_axiom_check,
     parse_path,
 )
 from .quiver import (

@@ -272,7 +272,8 @@ class NumericRep:
     matrices[idx] is the matrix of the framed arrow idx; framing arrows
     (source at the framing vertex, which carries a fixed one-dimensional
     space) get d_target x 1 columns, base arrows i->j get d_j x d_i blocks.
-    Matrices are tuples of row tuples of exact numbers, int where integral.
+    Matrices are tuples of row tuples of exact numbers, int where integral;
+    an entry that is neither an int nor a Fraction raises TypeError.
     """
 
     fq: FramedQuiver
@@ -290,6 +291,9 @@ class NumericRep:
                 raise CellError(
                     f"matrix for arrow {a.name!r} must be {rows}x{cols}"
                 )
+            inexact = [x for r in m for x in r if not isinstance(x, (int, Fraction))]
+            if inexact:
+                raise TypeError(f"inexact entry {inexact[0]!r} for arrow {a.name!r}")
 
     def path_vector(self, u: Path) -> Vector:
         """The vector of the path: the matrix of its last arrow applied to

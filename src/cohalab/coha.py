@@ -74,20 +74,26 @@ class SymPoly:
     """Element of one graded piece: dimension vector plus coordinates.
 
     coords maps a signature, one weakly decreasing exponent tuple of length
-    d_i per vertex, to the coefficient of its orbit sum m_sig; zero
-    coefficients are never stored, so equal elements have equal coords.
-    poly expands the orbits into a polynomial in sum(d) variables, blocked
-    per vertex.
+    d_i per vertex, to the coefficient of its orbit sum m_sig.  Construction
+    passes each coefficient through polys.normal (a float raises TypeError)
+    and drops the zeros, so equal elements have equal coords.  poly expands
+    the orbits into a polynomial in sum(d) variables, blocked per vertex.
     """
 
     fq: FramedQuiver
     d: DimVector
     coords: Mapping[Signature, Coeff]
 
+    def __post_init__(self):
+        exact = zip(self.coords, map(normal, self.coords.values()))
+        object.__setattr__(self, "coords", {sig: c for sig, c in exact if c})
+
     @classmethod
     def from_poly(cls, fq: FramedQuiver, d: DimVector, poly: Poly) -> "SymPoly":
         """The element whose polynomial is poly.  poly is block-symmetric iff
         every term has its orbit's coefficient and no orbit is partial."""
+        if poly.nvars != sum(d):
+            raise CohaError(f"the polynomial has {poly.nvars} variables, d needs {sum(d)}")
         offs = block_offsets(d)
         coords: dict[Signature, Coeff] = {}
         for exp, c in poly.terms.items():
@@ -113,29 +119,6 @@ class SymPoly:
 
     def is_homogeneous(self) -> bool:
         return len(set(map(_size, self.coords))) <= 1
-
-    def __add__(self, other: "SymPoly") -> "SymPoly":
-        self._check_compatible(other)
-        out = dict(self.coords)
-        for sig, c in other.coords.items():
-            out[sig] = out.get(sig, 0) + c
-        return SymPoly(self.fq, self.d, {sig: c for sig, c in out.items() if c})
-
-    def __sub__(self, other: "SymPoly") -> "SymPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "SymPoly":
-        return self.scale(-1)
-
-    def scale(self, c) -> "SymPoly":
-        c = normal(c)
-        return SymPoly(self.fq, self.d, {sig: c * v for sig, v in self.coords.items() if c})
-
-    def _check_compatible(self, other: "SymPoly"):
-        if self.fq != other.fq:
-            raise CohaError("elements live over different quivers")
-        if self.d != other.d:
-            raise CohaError("dimension vectors differ")
 
     def format(self) -> str:
         return self.poly.format(lambda i: var_name(self.d, i))

@@ -115,14 +115,6 @@ def partition_sort_key(lam: MultiPartition):
     return tuple(tuple(reversed(p)) for p in lam.parts)
 
 
-def compare_partitions(lam: MultiPartition, mu: MultiPartition) -> int:
-    """-1/0/1; smaller means smaller at the largest index where they differ."""
-    if lam.shape() != mu.shape():
-        raise CellError("partition shapes differ")
-    a, b = partition_sort_key(lam), partition_sort_key(mu)
-    return -1 if a < b else (0 if a == b else 1)
-
-
 def enumerate_partitions(fq: FramedQuiver, d: DimVector) -> list[MultiPartition]:
     """All cell labels in the canonical order, by the phi brute force kept
     for checks.py, the tests and the benchmark (production uses cell_labels).

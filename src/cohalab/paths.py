@@ -35,11 +35,6 @@ def parent(u: Path) -> Path:
     return u[:-1]
 
 
-def children(fq: FramedQuiver, u: Path) -> list[Path]:
-    """Paths a.u over arrows a starting at target(u); framing arrows at the root."""
-    return [u + (a,) for a in fq.out_arrows[path_target(fq, u)]]
-
-
 def validate_path(fq: FramedQuiver, u: Path) -> Path:
     """u as a tuple of ints, once its arrow indices are integers, in range
     and compose."""
@@ -132,39 +127,6 @@ class PathOrder:
     @property
     def is_monomial(self) -> bool:
         return self.kind in (SHORTLEX, WSHORTLEX)
-
-
-def paths_up_to_length(fq: FramedQuiver, bound: int) -> list[Path]:
-    out = [ROOT]
-    frontier = [ROOT]
-    for _ in range(bound):
-        frontier = [c for u in frontier for c in children(fq, u)]
-        out.extend(frontier)
-    return out
-
-
-def monomial_axiom_check(
-    fq: FramedQuiver, order: PathOrder, length_bound: int
-) -> tuple[int, Path, Path] | None:
-    """Search for a violation of left-composition stability.
-
-    Scans pairs u < v with a common target, both of length <= length_bound,
-    in ascending (key(u), key(v)) order, and arrows in arrow order; returns
-    the first (a, u, v) with a.u > a.v, or None.  shortlex and
-    weighted-shortlex never produce one.
-    """
-    pool = order.sort(paths_up_to_length(fq, length_bound))
-    for i, u in enumerate(pool):
-        tu = path_target(fq, u)
-        if tu == INF_VERTEX:
-            continue
-        for v in pool[i + 1 :]:
-            if path_target(fq, v) != tu:
-                continue
-            for a in fq.out_arrows[tu]:
-                if order.compare(u + (a,), v + (a,)) >= 0:
-                    return (a, u, v)
-    return None
 
 
 # -- display and parsing --------------------------------------------------------

@@ -46,7 +46,11 @@ def divide(a: Coeff, b: Coeff) -> Coeff:
 
 
 class Poly:
-    """Polynomial in ``nvars`` variables with int or Fraction coefficients."""
+    """Polynomial in ``nvars`` variables with int or Fraction coefficients.
+
+    Poly(nvars, terms) stores its terms unchecked, as every arithmetic
+    result passes through it; const, variable, monomial and scale are the
+    checked constructors."""
 
     __slots__ = ("nvars", "terms")
 

@@ -38,28 +38,11 @@ class LaurentPoly:
     def zero(cls) -> "LaurentPoly":
         return cls(())
 
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls(((0, 1),))
-
     def as_dict(self) -> dict[int, int]:
         return dict(self.coeffs)
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        data = self.as_dict()
-        for e, c in other.coeffs:
-            data[e] = data.get(e, 0) + c
-        return LaurentPoly.from_dict(data)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        data: dict[int, int] = {}
-        for e1, c1 in self.coeffs:
-            for e2, c2 in other.coeffs:
-                data[e1 + e2] = data.get(e1 + e2, 0) + c1 * c2
-        return LaurentPoly.from_dict(data)
 
     def degree(self) -> int | None:
         return self.coeffs[0][0] if self.coeffs else None
@@ -69,15 +52,6 @@ class LaurentPoly:
 
     def evaluate_at_one(self) -> int:
         return sum(c for _, c in self.coeffs)
-
-    def reversed_in_range(self) -> "LaurentPoly":
-        """Coefficients read from the other end of the support."""
-        if not self.coeffs:
-            return self
-        hi, lo = self.coeffs[0][0], self.coeffs[-1][0]
-        return LaurentPoly.from_dict(
-            {hi + lo - e: c for e, c in self.coeffs}
-        )
 
     def __str__(self):
         if not self.coeffs:

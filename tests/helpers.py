@@ -1,6 +1,7 @@
-"""Polynomial and path helpers that only the tests use, golden tables
-that more than one test module reads, and the earlier implementations of
-the cells, linalg and shuffle algebra layers kept as oracles."""
+"""Polynomial and path helpers that only the tests use (the path tree and
+the monomial-axiom search among them), golden tables that more than one
+test module reads, and the earlier implementations of the cells, linalg
+and shuffle algebra layers kept as oracles."""
 
 from __future__ import annotations
 
@@ -21,9 +22,9 @@ from cohalab.checks import framed_a2, framed_loops, vertex_only
 from cohalab.coha import CohaError, SymPoly, block_offsets
 from cohalab.linalg import Span, dense, rref
 from cohalab.partitions import MultiPartition, satisfies_phi
-from cohalab.paths import ROOT, WSHORTLEX, Path, PathOrder, children, path_target
+from cohalab.paths import ROOT, WSHORTLEX, Path, PathOrder, path_target
 from cohalab.polys import Poly, det_bareiss
-from cohalab.quiver import FramedQuiver, Quiver, euler_form, unit_vector
+from cohalab.quiver import INF_VERTEX, FramedQuiver, Quiver, euler_form, unit_vector
 
 
 def substitute(p: Poly, values: Mapping[int, Poly]) -> Poly:
@@ -102,6 +103,44 @@ def det_laplace(rows: list[list[Poly]]) -> Poly:
 def is_prefix(u: Path, v: Path) -> bool:
     """True iff u is a right factor of v (u precedes v in the tree order)."""
     return len(u) <= len(v) and v[: len(u)] == u
+
+
+def children(fq: FramedQuiver, u: Path) -> list[Path]:
+    """Paths a.u over arrows a starting at target(u); framing arrows at the root."""
+    return [u + (a,) for a in fq.out_arrows[path_target(fq, u)]]
+
+
+def paths_up_to_length(fq: FramedQuiver, bound: int) -> list[Path]:
+    out = [ROOT]
+    frontier = [ROOT]
+    for _ in range(bound):
+        frontier = [c for u in frontier for c in children(fq, u)]
+        out.extend(frontier)
+    return out
+
+
+def monomial_axiom_check(
+    fq: FramedQuiver, order: PathOrder, length_bound: int
+) -> tuple[int, Path, Path] | None:
+    """Search for a violation of left-composition stability.
+
+    Scans pairs u < v with a common target, both of length <= length_bound,
+    in ascending (key(u), key(v)) order, and arrows in arrow order; returns
+    the first (a, u, v) with a.u > a.v, or None.  shortlex and
+    weighted-shortlex never produce one.
+    """
+    pool = order.sort(paths_up_to_length(fq, length_bound))
+    for i, u in enumerate(pool):
+        tu = path_target(fq, u)
+        if tu == INF_VERTEX:
+            continue
+        for v in pool[i + 1 :]:
+            if path_target(fq, v) != tu:
+                continue
+            for a in fq.out_arrows[tu]:
+                if order.compare(u + (a,), v + (a,)) >= 0:
+                    return (a, u, v)
+    return None
 
 
 # -- oracles: Gauss-Jordan over Fraction, before elimination went fraction-free ------

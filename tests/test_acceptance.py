@@ -10,7 +10,6 @@ frontier, two-loop d=5, to a budget.
 """
 
 import time
-from fractions import Fraction
 from random import Random
 
 import pytest
@@ -28,6 +27,7 @@ from cohalab import (
     shuffle_product,
     slice_basis,
     monomial_symmetric,
+    SymPoly,
     tree_to_partition,
     unit,
 )
@@ -167,14 +167,12 @@ def test_criterion_9_shuffle_properties():
         rng = Random(20240808)
 
         def random_element(fq, d, max_degree):
-            total = unit(fq, d).scale(0)
+            coords = {}
             for n in range(max_degree + 1):
                 for sig in slice_basis(d, n):
                     if rng.random() < 0.35:
-                        c = Fraction(rng.randint(-3, 3))
-                        if c:
-                            total = total + monomial_symmetric(fq, d, sig).scale(c)
-            return total
+                        coords[sig] = rng.randint(-3, 3)
+            return SymPoly(fq, d, coords)
 
         fixtures = [
             (vertex_only(1), [(1,), (2,)]),

@@ -30,9 +30,10 @@ from cohalab import (
 from cohalab import cells
 from cohalab.cells import NumericRep, adjoin, random_rep, random_stable_rep
 from cohalab.linalg import rref
-from cohalab.paths import ROOT, children, path_target
+from cohalab.paths import ROOT, path_target
 from conftest import framed_a2, framed_loops, vertex_only
 from helpers import (
+    children,
     classify_by_restart,
     enumerate_trees_recursive,
     in_cell_pairwise,
@@ -357,6 +358,13 @@ def test_numeric_rep_checks_each_matrix_shape(two_loop):
     short = m.matrices[:-1] + (m.matrices[-1][:1],)  # one row of a 2x2 block
     with pytest.raises(CellError, match="must be 2x2"):
         NumericRep(two_loop, (2,), short)
+
+
+def test_numeric_rep_refuses_an_inexact_entry(two_loop):
+    with pytest.raises(TypeError, match="inexact entry 0.1 for arrow 'f'"):
+        NumericRep(two_loop, (1,), (((0.1,),), ((0.5,),), ((0,),)))
+    m = NumericRep(two_loop, (1,), (((1,),), ((Fraction(1, 2),),), ((0,),)))
+    assert m.path_vector((0, 1)) == (Fraction(1, 2),)
 
 
 def test_classify_rejects_lex(two_loop, lex):

@@ -23,10 +23,9 @@ from cohalab import (
     symbolic_vector,
     tree_leq,
 )
-from cohalab.paths import paths_up_to_length
 from cohalab.polys import Poly, det_bareiss
 from conftest import vertex_only
-from helpers import D3_MULTIPLICITIES, D4_MULTIPLICITIES, evaluate, substitute
+from helpers import D3_MULTIPLICITIES, D4_MULTIPLICITIES, evaluate, paths_up_to_length, substitute
 
 
 def test_chart_coordinate_counts(two_loop, shortlex):

@@ -46,14 +46,12 @@ from helpers import (
 
 def random_sympoly(fq, d, degree, rng):
     """Random rational combination of the monomial-symmetric basis."""
-    total = unit(fq, d).scale(0)
+    coords = {}
     for n in range(degree + 1):
         for sig in slice_basis(d, n):
             if rng.random() < 0.4:
-                c = Fraction(rng.randint(-3, 3))
-                if c:
-                    total = total + monomial_symmetric(fq, d, sig).scale(c)
-    return total
+                coords[sig] = rng.randint(-3, 3)
+    return SymPoly(fq, d, coords)
 
 
 def cup(f, g):
@@ -66,12 +64,11 @@ def cup(f, g):
 
 def random_fraction_element(fq, d, degree, rng):
     """Random combination of the monomial-symmetric basis, Fraction coefficients."""
-    total = unit(fq, d).scale(0)
+    coords = {}
     for n in range(degree + 1):
         for sig in slice_basis(d, n):
-            c = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-            total = total + monomial_symmetric(fq, d, sig).scale(c)
-    return total
+            coords[sig] = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+    return SymPoly(fq, d, coords)
 
 
 
@@ -225,6 +222,26 @@ def test_non_symmetric_factor_is_rejected(fq):
     symmetric = x1_squared_x2 + Poly.monomial(3, (2, 0, 1)) + Poly.monomial(3, (1, 0, 2))
     symmetric = symmetric + Poly.monomial(3, (0, 2, 1)) + Poly.monomial(3, (0, 1, 2))
     assert SymPoly.from_poly(fq, (3,), symmetric) == monomial_symmetric(fq, (3,), ((2, 1, 0),))
+
+
+def test_from_poly_refuses_a_wrong_variable_count():
+    fq = framed_loops(1, 1)
+    with pytest.raises(CohaError, match="3 variables"):
+        SymPoly.from_poly(fq, (2,), Poly(3, {(1, 0, 1): 1, (0, 1, 1): 1}))
+    with pytest.raises(CohaError, match="d needs 2"):
+        SymPoly.from_poly(fq, (2,), Poly.variable(1, 0))
+
+
+def test_construction_normalises_coefficients():
+    fq = vertex_only(1)
+    x = ((1,),)
+    with pytest.raises(TypeError, match="inexact"):
+        SymPoly(fq, (1,), {x: 0.5})
+    zero = SymPoly(fq, (1,), {x: 0, ((2,),): Fraction(0)})
+    assert zero.is_zero() and zero == SymPoly(fq, (1,), {})
+    f = SymPoly(fq, (1,), {x: Fraction(4, 2), ((0,),): Fraction(1, 2)})
+    assert f.coords == {x: 2, ((0,),): Fraction(1, 2)}
+    assert type(f.coords[x]) is int
 
 
 def test_quiver_mismatch():
@@ -592,15 +609,10 @@ def test_kernel_is_left_submodule_slice(fq):
     for kernel_degree in (1, 2):
         k1 = kernel_graded_piece(fq, d, kernel_degree)
         for row in canonical_rows(k1):
-            gen = unit(fq, d).scale(0)
-            for c, s in zip(row, k1.basis):
-                if c:
-                    gen = gen + monomial_symmetric(fq, d, s).scale(c)
+            gen = SymPoly(fq, d, dict(zip(k1.basis, row)))
             for p in (0, 1, 2):
                 for sig in slice_basis((1,), p)[:2]:
-                    f = monomial_symmetric(fq, (1,), sig).scale(
-                        Fraction(rng.randint(1, 5))
-                    )
+                    f = SymPoly(fq, (1,), {sig: rng.randint(1, 5)})
                     prod = shuffle_product(f, gen)
                     if prod.is_zero():
                         continue

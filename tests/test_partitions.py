@@ -15,7 +15,6 @@ from cohalab import (
     QuiverError,
     cell_dim,
     cell_labels,
-    compare_partitions,
     enumerate_partitions,
     enumerate_trees,
     format_partition,
@@ -35,9 +34,10 @@ from cohalab.cells import _walk
 from cohalab.checks import roundtrip_fixtures
 from cohalab.coha import top_degree, verify_basis
 from cohalab.partitions import MultiPartition
-from cohalab.paths import children, path_target
+from cohalab.paths import path_target
 from conftest import framed_loops, vertex_only
 from helpers import (
+    children,
     oracle_fixtures,
     oracle_orders,
     partition_to_tree_by_nominees,
@@ -191,23 +191,6 @@ def test_partition_cell_dim_examples(two_loop):
     gr = vertex_only(4)
     full = make_partition(gr, (2,), [(2, 2)])
     assert partition_cell_dim(gr, (2,), full) == 0
-
-
-def test_compare_partitions_examples(two_loop):
-    a = make_partition(two_loop, (3,), [(2,)])
-    b = make_partition(two_loop, (3,), [(1, 1)])
-    assert compare_partitions(a, b) == -1
-    assert compare_partitions(a, a) == 0
-    empty = make_partition(two_loop, (3,), [()])
-    one = make_partition(two_loop, (3,), [(1,)])
-    assert compare_partitions(empty, one) == -1
-
-
-def test_compare_partitions_shape_mismatch(two_loop):
-    a = make_partition(two_loop, (3,), [(2,)])
-    b = make_partition(two_loop, (2,), [(1,)])
-    with pytest.raises(CellError):
-        compare_partitions(a, b)
 
 
 def test_single_vertex_order_transport(two_loop, shortlex, lex):

@@ -5,16 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cohalab import (
-    PathOrder,
-    children,
-    format_path,
-    monomial_axiom_check,
-    parse_path,
-)
-from cohalab.paths import ROOT, WSHORTLEX, parent, paths_up_to_length
+from cohalab import PathOrder, format_path, parse_path
+from cohalab.paths import ROOT, WSHORTLEX, parent
 from conftest import framed_a2, framed_loops
-from helpers import is_prefix
+from helpers import children, is_prefix, monomial_axiom_check, paths_up_to_length
 
 
 def p(fq, text):
