@@ -272,8 +272,9 @@ class NumericRep:
     matrices[idx] is the matrix of the framed arrow idx; framing arrows
     (source at the framing vertex, which carries a fixed one-dimensional
     space) get d_target x 1 columns, base arrows i->j get d_j x d_i blocks.
-    Matrices are tuples of row tuples of exact numbers, int where integral;
-    an entry that is neither an int nor a Fraction raises TypeError.
+    d is stored as check_dim normalises it, a tuple of ints.  Matrices are
+    tuples of row tuples of exact numbers, int where integral; an entry
+    that is neither an int nor a Fraction raises TypeError.
     """
 
     fq: FramedQuiver
@@ -282,7 +283,7 @@ class NumericRep:
     _vectors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_dim(self.fq.base, self.d)
+        object.__setattr__(self, "d", check_dim(self.fq.base, self.d))
         if len(self.matrices) != len(self.fq.arrows):
             raise CellError("one matrix per framed arrow required")
         for a, m in zip(self.fq.arrows, self.matrices):
@@ -375,44 +376,35 @@ def _membership_walk(
     fq: FramedQuiver, m: NumericRep, s: Subtree, order: PathOrder, basis: bool
 ) -> bool:
     """One walk (_walk) over the children of the members of s, one Span per
-    vertex.  The family of a critical v at vertex i is the prefix
-    slices[i][:k_v] met before it, plus v; the members' vectors join their
-    vertex's span only once a critical path there needs them.  A prefix
-    vector that fails to enlarge the span makes every later family there
+    vertex.  A member's vector joins its vertex's span when the walk meets
+    it, while the members met there are independent (free).  The walk
+    meets children ascending, so the span at a critical v holds the family
+    of v but for v itself: the members below v at its vertex.  A member
+    that fails to enlarge its span makes every later family there
     dependent; otherwise the family is dependent exactly when v lies in
-    the span.  take expands nothing more once the answer is settled: at the
-    first independent family or, for the locus test, once no vertex has an
-    independent prefix.  With basis a dependent prefix fails too, and each
-    slice is grown to its end after the walk.
+    the span.  take expands nothing more once the answer is settled: at
+    the first independent family, with basis at the first dependent
+    member, and for the locus test once no vertex is free.
     """
     members, spans = s.path_set, [Span(di) for di in m.d]
-    slices: list[list[Path]] = [[] for _ in m.d]
-    free = [True] * len(m.d)  # the prefix grown so far at vertex i is independent
+    free = [True] * len(m.d)
     answer = None
 
     def take(c: Path, i: int) -> bool:
         nonlocal answer
         if answer is not None:
             return False
-        if c in members:
-            slices[i].append(c)
-            return True
-        span, prefix = spans[i], slices[i]
-        while free[i] and span.rank < len(prefix):
-            free[i] = span.add(m.path_vector(prefix[span.rank]))
-        if free[i] and not span.contains(m.path_vector(c)):
-            answer = False  # an independent family
-        elif not free[i] and (basis or not any(free)):
-            answer = not basis  # a dependent prefix; or, no vertex left free
-        return False
+        if c not in members:
+            if free[i] and not spans[i].contains(m.path_vector(c)):
+                answer = False  # an independent family
+            return False
+        if free[i]:
+            free[i] = spans[i].add(m.path_vector(c))
+            if not free[i] and (basis or not any(free)):
+                answer = not basis  # no basis; or, no vertex left free
+        return answer is None
 
     _walk(fq, order, take)
-    if answer is None and basis:  # grow each slice to its end
-        answer = all(
-            span.add(m.path_vector(u))
-            for span, prefix in zip(spans, slices)
-            for u in prefix[span.rank :]
-        )
     return answer is not False
 
 
@@ -433,11 +425,9 @@ def random_rep(
     return NumericRep(fq, d, tuple(mats))
 
 
-def random_stable_rep(
-    fq: FramedQuiver, d: DimVector, rng: Random, tries: int = 100
-) -> NumericRep:
+def random_stable_rep(fq: FramedQuiver, d: DimVector, rng: Random) -> NumericRep:
     order = PathOrder.shortlex()
-    for _ in range(tries):
+    for _ in range(100):
         m = random_rep(fq, d, rng)
         try:
             classify(fq, m, order)

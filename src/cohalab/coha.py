@@ -58,6 +58,15 @@ def _size(sig: Signature) -> int:
     return sum(map(sum, sig))
 
 
+def _is_signature(sig, d: DimVector) -> bool:
+    """sig holds one weakly decreasing tuple of ints >= 0 of length d_i per vertex."""
+    try:
+        return tuple(map(len, sig)) == d and all(
+            type(x) is int and x >= y for lam in sig for x, y in zip(lam, (*lam[1:], 0)))
+    except TypeError:  # sig or a part of it is not a sequence
+        return False
+
+
 def _natural(x, what: str) -> int:
     """x as an int; CohaError unless it is an exact integer >= 0."""
     try:
@@ -73,11 +82,13 @@ def _natural(x, what: str) -> int:
 class SymPoly:
     """Element of one graded piece: dimension vector plus coordinates.
 
-    coords maps a signature, one weakly decreasing exponent tuple of length
-    d_i per vertex, to the coefficient of its orbit sum m_sig.  Construction
-    passes each coefficient through polys.normal (a float raises TypeError)
-    and drops the zeros, so equal elements have equal coords.  poly expands
-    the orbits into a polynomial in sum(d) variables, blocked per vertex.
+    coords maps a signature, one weakly decreasing tuple of naturals of
+    length d_i per vertex, to the coefficient of its orbit sum m_sig.
+    Construction normalises d by check_dim, refuses any other signature
+    (CohaError), passes each coefficient through polys.normal (a float
+    raises TypeError) and drops the zeros, so equal elements have equal
+    d and coords.  poly expands the orbits into a polynomial in sum(d)
+    variables, blocked per vertex.
     """
 
     fq: FramedQuiver
@@ -85,6 +96,9 @@ class SymPoly:
     coords: Mapping[Signature, Coeff]
 
     def __post_init__(self):
+        object.__setattr__(self, "d", check_dim(self.fq.base, self.d))
+        if not all(_is_signature(sig, self.d) for sig in self.coords):
+            raise CohaError("signature does not match the dimension vector")
         exact = zip(self.coords, map(normal, self.coords.values()))
         object.__setattr__(self, "coords", {sig: c for sig, c in exact if c})
 
@@ -129,9 +143,6 @@ class SymPoly:
 
 def monomial_symmetric(fq: FramedQuiver, d: DimVector, sig: Signature) -> SymPoly:
     """The orbit sum m_sig: the distinct monomials in the block-permutation orbit of sig."""
-    d = check_dim(fq.base, d)
-    if tuple(map(len, sig)) != d:
-        raise CohaError("signature does not match the dimension vector")
     sig = tuple(tuple(sorted((_natural(x, "exponent") for x in lam), reverse=True)) for lam in sig)
     return SymPoly(fq, d, {sig: 1})
 

@@ -367,6 +367,15 @@ def test_numeric_rep_refuses_an_inexact_entry(two_loop):
     assert m.path_vector((0, 1)) == (Fraction(1, 2),)
 
 
+def test_numeric_rep_stores_its_dimension_vector_as_a_tuple(two_loop, shortlex):
+    m = random_stable_rep(two_loop, (3,), Random(1))
+    s = classify(two_loop, m, shortlex)
+    listed = NumericRep(two_loop, [3], m.matrices)
+    assert listed.d == (3,) and listed == m
+    assert in_cell(two_loop, listed, s, shortlex) and in_cell(two_loop, m, s, shortlex)
+    assert in_degeneracy_locus(two_loop, listed, s, shortlex)
+
+
 def test_classify_rejects_lex(two_loop, lex):
     with pytest.raises(CellError):
         classify(two_loop, jordan_rep(two_loop), lex)

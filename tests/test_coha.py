@@ -244,6 +244,31 @@ def test_construction_normalises_coefficients():
     assert type(f.coords[x]) is int
 
 
+def test_construction_normalises_the_dimension_vector():
+    fq = framed_loops(1, 1)
+    f = SymPoly.from_poly(fq, [1], Poly.variable(1, 0))
+    assert f.d == (1,) and f == monomial_symmetric(fq, (1,), ((1,),))
+    assert SymPoly(fq, [2], {((1, 0),): 1}) == monomial_symmetric(fq, (2,), ((0, 1),))
+
+
+@pytest.mark.parametrize(
+    "d, sig",
+    [
+        ((5,), ((1,),)),  # the d=1 piece labelled d=5
+        ((2,), ((0, 1),)),  # not weakly decreasing
+        ((1,), ((-1,),)),
+        ((1,), ((1.0,),)),
+        ((1,), ((True,),)),
+        ((1,), ((1,), (0,))),  # one part too many
+        ((1,), (1,)),  # a part that is not a tuple
+        ((1,), 1),
+    ],
+)
+def test_construction_refuses_a_signature_off_the_dimension_vector(d, sig):
+    with pytest.raises(CohaError, match="signature does not match the dimension vector"):
+        SymPoly(framed_loops(1, 1), d, {sig: 1})
+
+
 def test_quiver_mismatch():
     f = unit(vertex_only(1), (1,))
     g = unit(framed_loops(1, 1), (1,))
